@@ -98,23 +98,6 @@ def interior_edges(g: WeightedGraph):
     )
 
 
-def _residual_raw(g, lengths, i, j):
-    """tEoM residual from a plain edge->length dict; no validation."""
-    p = lengths[edge_key(i, j)]
-    ci = di = cj = dj = 0.0
-    for w in g.neighbors(i):
-        ell = lengths[edge_key(i, w)]
-        ci += 1.0 / ell
-        di += 1.0 / (ell * ell)
-    for w in g.neighbors(j):
-        ell = lengths[edge_key(j, w)]
-        cj += 1.0 / ell
-        dj += 1.0 / (ell * ell)
-    ri = ci / di
-    rj = cj / dj
-    return (ri * ri + rj * rj) / p - ri - rj
-
-
 def teom_residual(g: WeightedGraph, setting: Setting, i, j) -> float:
     """Residual of the tree equation of motion at the edge between i and j:
 

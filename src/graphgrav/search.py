@@ -1,5 +1,5 @@
-"""Numerical solving of the tree equations of motion and derivative-free
-extremal-action search under fixed boundary data.
+"""Damped Newton with the exact Jacobian for the tree equations of motion, and
+Nelder-Mead extremal-action search, whose scipy.optimize loads only when it runs.
 """
 
 from __future__ import annotations
@@ -8,19 +8,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .action import action_plain
-from .dynamics import Setting, _residual_raw, interior_edges, is_tree
+from .dynamics import Setting, interior_edges, is_tree
 from .errors import BadParams, NoFreeEdges, NotATree, SingularJacobian
 from .graph import GeodesicTable, WeightedGraph, edge_key
 
 LOG_LENGTH_LO = math.log(1e-6)
 LOG_LENGTH_HI = math.log(1e3)
-FD_STEP = 1e-6
 MAX_DAMPINGS = 30
 MAX_LOG_STEP = 1.0  # trust region in log-length space
-LOG_GUARD = 60.0  # beyond this the lengths are numerically meaningless
 
 
 @dataclass(frozen=True)
@@ -68,10 +65,9 @@ def newton_solve_teom(
     free = [key for key in interior if key not in boundary]
     fixed = {key: boundary[key] for key in boundary.lengths if key in edge_keys}
 
-    x0 = np.array([math.log(init[key]) for key in free]) if free else np.zeros(0)
-    if x0.size and (np.min(x0) < LOG_LENGTH_LO or np.max(x0) > LOG_LENGTH_HI):
-        raise BadParams("initial free lengths must lie within [1e-6, 1e3]")
-    result = _newton_run(g, interior, free, fixed, x0, tol, max_iter)
+    x0 = np.array([math.log(init[key]) for key in free], dtype=float)
+    residual, jacobian = _tree_system(g, interior, free, fixed)
+    result = _newton_run(residual, jacobian, x0, tol, max_iter)
     used = 0
     if not result[2] and free and restarts > 0:
         rng = np.random.default_rng(seed)
@@ -79,16 +75,14 @@ def newton_solve_teom(
         for _ in range(restarts):
             used += 1
             spread = rng.uniform(-0.3, 0.3, size=len(free))
-            retry = _newton_run(g, interior, free, fixed, anchor + spread, tol, max_iter)
+            retry = _newton_run(residual, jacobian, anchor + spread, tol, max_iter)
             if retry[2]:
                 result = retry
                 break
             if retry[1] < result[1]:
                 result = retry
-    x, worst, converged, iterations = result[0], result[1], result[2], result[3]
-    lengths = dict(fixed)
-    for k, key in enumerate(free):
-        lengths[key] = math.exp(float(x[k]))
+    x, worst, converged, iterations = result
+    lengths = {**fixed, **{key: math.exp(val) for key, val in zip(free, x.tolist())}}
     return SearchResult(
         setting=Setting(lengths),
         objective=worst,
@@ -98,27 +92,62 @@ def newton_solve_teom(
     )
 
 
-def _newton_run(g, interior, free, fixed, x0, tol, max_iter):
-    """One damped Newton descent; returns (x, max_abs_residual, converged, iters)."""
+def _tree_system(g, interior, free, fixed):
+    """The residual of every interior edge and its exact Jacobian, as
+    functions of the free log-lengths; the residual is None outside the box.
 
-    def residual_vec(x):
+    Edge k joins vertices ends[:, k], fixed edges first and free ones after
+    them; residual row r belongs to edge rows[r], the r-th interior edge.
+    """
+    vertex = {v: k for k, v in enumerate(g.vertices)}
+    index = {key: k for k, key in enumerate([*fixed, *free])}
+    ends = np.array([[vertex[key[s]] for key in index] for s in (0, 1)], dtype=int)
+    rows = np.array([index[key] for key in interior], dtype=int)
+    fixed_lengths = np.array(list(fixed.values()), dtype=float)
+    shape = (len(interior), len(free))
+    col_of = {key: col for col, key in enumerate(free)}
+    # Jacobian entries (row, w, col): free edge col meets the row's edge at its endpoint w
+    entries = [
+        (r, vertex[w], col_of[k])
+        for r, key in enumerate(interior) for w in key
+        for k in (edge_key(w, u) for u in g.neighbors(w)) if k in col_of
+    ]
+    e_row, e_vertex, e_col = np.array(entries, dtype=int).reshape(-1, 3).T
+    e_edge, e_free = rows[e_row], len(fixed) + e_col
+
+    def sums(x):
+        ell = np.concatenate([fixed_lengths, np.exp(x)])
+        inv = np.tile(1.0 / ell, 2)
+        d = np.bincount(ends.ravel(), inv * inv, len(vertex))
+        return ell, d, np.bincount(ends.ravel(), inv, len(vertex)) / d
+
+    def residual(x):
         if x.size and (np.min(x) < LOG_LENGTH_LO or np.max(x) > LOG_LENGTH_HI):
             return None
-        lengths = dict(fixed)
-        for k, key in enumerate(free):
-            lengths[key] = math.exp(x[k])
-        return np.array([_residual_raw(g, lengths, u, v) for u, v in interior])
+        ell, _, rho = sums(x)
+        ri, rj = rho[ends[:, rows]]
+        return (ri * ri + rj * rj) / ell[rows] - ri - rj
 
-    x = np.asarray(x0, dtype=float)
-    res = residual_vec(x)
+    def jacobian(x):
+        # d rho_w/d x_f = (2 rho_w/l_f - 1)/(l_f d_w); a free row's own P splits over its ends
+        ell, d, rho = sums(x)
+        p, ell_f, rho_w = ell[e_edge], ell[e_free], rho[e_vertex]
+        drho = (2.0 * rho_w / ell_f - 1.0) / (ell_f * d[e_vertex])
+        values = (2.0 * rho_w / p - 1.0) * drho - (e_edge == e_free) * rho_w * rho_w / p
+        return np.bincount(e_row * shape[1] + e_col, values, shape[0] * shape[1]).reshape(shape)
+
+    return residual, jacobian
+
+
+def _newton_run(residual, jacobian, x, tol, max_iter):
+    """One damped Newton descent; returns (x, max_abs_residual, converged, iters)."""
+    res = residual(x)
     if res is None:
-        raise BadParams("initial lengths out of the search box")
+        raise BadParams("initial free lengths must lie within [1e-6, 1e3]")
     iterations = 0
     converged = bool(np.max(np.abs(res), initial=0.0) < tol)
-    while not converged and iterations < max_iter and free:
-        jac = _fd_jacobian(residual_vec, x, res.size)
-        if jac is None or not np.all(np.isfinite(jac)):
-            break  # walked against the box: report non-convergence
+    while not converged and iterations < max_iter and x.size:
+        jac = jacobian(x)
         try:
             if jac.shape[0] == jac.shape[1]:
                 step = np.linalg.solve(jac, -res)
@@ -137,7 +166,7 @@ def _newton_run(g, interior, free, fixed, x0, tol, max_iter):
         improved = False
         for _ in range(MAX_DAMPINGS):
             trial = x + lam * step
-            trial_res = residual_vec(trial)
+            trial_res = residual(trial)
             if trial_res is not None and float(np.linalg.norm(trial_res)) < norm0:
                 x, res = trial, trial_res
                 improved = True
@@ -149,20 +178,6 @@ def _newton_run(g, interior, free, fixed, x0, tol, max_iter):
         converged = bool(np.max(np.abs(res)) < tol)
     worst = float(np.max(np.abs(res), initial=0.0))
     return x, worst, converged and worst < tol, iterations
-
-
-def _fd_jacobian(fun, x, n_out):
-    jac = np.zeros((n_out, x.size))
-    for k in range(x.size):
-        bumped = x.copy()
-        bumped[k] += FD_STEP
-        hi = fun(bumped)
-        bumped[k] -= 2.0 * FD_STEP
-        lo = fun(bumped)
-        if hi is None or lo is None:
-            return None
-        jac[:, k] = (hi - lo) / (2.0 * FD_STEP)
-    return jac
 
 
 def extremize_action(
@@ -179,6 +194,7 @@ def extremize_action(
     best setting is reported with its geometric mean normalized to 1 when
     every edge is free.
     """
+    from scipy import optimize
     if objective not in ("max", "min"):
         raise BadParams(f"objective must be 'max' or 'min', got {objective}")
     fixed_map = dict(fixed.lengths) if fixed is not None else {}
@@ -213,12 +229,12 @@ def extremize_action(
         if best is None or out.fun < best:
             best = out.fun
             best_x = out.x
-    # gauge-fix: common rescaling leaves the action unchanged
-    if not fixed_map:
-        best_x = best_x - np.mean(best_x)
     at_edge = bool(
         np.any(best_x < LOG_LENGTH_LO + 1e-6) or np.any(best_x > LOG_LENGTH_HI - 1e-6)
     )
+    # gauge-fix: common rescaling leaves the action unchanged
+    if not fixed_map:
+        best_x = best_x - np.mean(best_x)
     lengths = dict(fixed_map)
     for k, key in enumerate(free):
         lengths[key] = math.exp(float(best_x[k]))

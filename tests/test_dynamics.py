@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphgrav import (
@@ -187,10 +187,16 @@ class TestHalfHalfFormulas:
         assert ratio == pytest.approx(want_ratio)
 
     @given(st.floats(min_value=0.05, max_value=20.0))
+    @example(1.0)
     @settings(max_examples=30, deadline=None)
     def test_line_curvature_positive(self, r):
+        # q = 1: kappa = (1 - r)^2 / (1 + r^2), positive except at r = 1
         k, _ = geometric_half_half_stats(1, r)
-        assert k > 0.0
+        assert k == pytest.approx((1.0 - r) ** 2 / (1.0 + r * r), rel=1e-9, abs=1e-15)
+        if r == 1.0:
+            assert k == 0.0
+        elif abs(r - 1.0) > 1e-6:  # closer to 1, kappa is below rounding
+            assert k > 0.0
 
     def test_rejects_even_q(self):
         with pytest.raises(QNotOdd):

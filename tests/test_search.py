@@ -1,8 +1,13 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import graphgrav
 from graphgrav import (
     Setting,
     edge_key,
@@ -15,9 +20,11 @@ from graphgrav import (
     interior_edges,
     newton_solve_teom,
     nogo_indicator,
+    teom_residual,
     verify_solution,
 )
 from graphgrav.errors import BadParams, NoFreeEdges, NotATree
+from graphgrav.search import _tree_system
 
 
 def tree_depths(g, root="0"):
@@ -41,6 +48,71 @@ def leaf_boundary(g):
 
 def random_init(rng, keys, lo=0.5, hi=2.0):
     return Setting({key: math.exp(rng.uniform(math.log(lo), math.log(hi))) for key in keys})
+
+
+def central_difference(fun, x, step):
+    """Central-difference Jacobian of fun at x: the oracle for the exact one."""
+    jac = np.zeros((fun(x).size, x.size))
+    for k in range(x.size):
+        bump = np.zeros_like(x)
+        bump[k] = step
+        jac[:, k] = (fun(x + bump) - fun(x - bump)) / (2.0 * step)
+    return jac
+
+
+def tree_system_at(g, lengths, fixed_interior=()):
+    """The array system of g with every edge at ``lengths`` and the free
+    log-lengths x; the edges in ``fixed_interior`` are fixed as well."""
+    interior = [edge_key(u, v) for u, v in interior_edges(g)]
+    free = [key for key in interior if key not in fixed_interior]
+    fixed = {key: ell for key, ell in lengths.items() if key not in free}
+    residual, jacobian = _tree_system(g, interior, free, fixed)
+    return residual, jacobian, np.log([lengths[key] for key in free]), interior
+
+
+class TestTreeSystem:
+    CASES = [(2, 4, 0), (3, 3, 0), (2, 4, 5)]  # (q, depth, fixed interior edges)
+
+    def _lengths(self, g, seed):
+        rng = random.Random(seed)
+        return {key: math.exp(rng.uniform(math.log(1e-2), math.log(1e2))) for key in g.lengths()}
+
+    @pytest.mark.parametrize("q, depth, n_fixed", CASES)
+    def test_jacobian_matches_finite_differences(self, q, depth, n_fixed):
+        g = gen_tree(q, depth)
+        for seed in range(10):
+            lengths = self._lengths(g, seed)
+            interior = [edge_key(u, v) for u, v in interior_edges(g)]
+            fixed_interior = set(random.Random(seed).sample(interior, n_fixed))
+            residual, jacobian, x, _ = tree_system_at(g, lengths, fixed_interior)
+            jac = jacobian(x)
+            assert jac.shape == (len(interior), len(interior) - n_fixed)
+            # Richardson step on two central differences: error O(step^4)
+            h = 1e-3
+            oracle = (
+                4.0 * central_difference(residual, x, h) - central_difference(residual, x, 2 * h)
+            ) / 3.0
+            # an entry that nearly cancels loses digits in any difference
+            # quotient, so the absolute slack follows the size of its row
+            row_scale = np.max(np.abs(jac), axis=1, keepdims=True)
+            assert np.all(np.abs(jac - oracle) <= 1e-6 * (np.abs(oracle) + row_scale))
+
+    @pytest.mark.parametrize("q, depth", [(2, 4), (3, 3)])
+    def test_residual_matches_teom_residual(self, q, depth):
+        g = gen_tree(q, depth)
+        lengths = self._lengths(g, 0)
+        residual, _, x, interior = tree_system_at(g, lengths)
+        want = [teom_residual(g, Setting(lengths), u, v) for u, v in interior]
+        np.testing.assert_allclose(residual(x), want, rtol=1e-12, atol=0.0)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(graphgrav.__file__)))
+    code = "import sys, graphgrav; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestNewton:
@@ -153,6 +225,17 @@ class TestExtremize:
         g = gen_complete(3).with_lengths(res.setting.lengths)
         again = action_plain(g, GeodesicTable(g)).total
         assert again == pytest.approx(res.objective, abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "g, seed, want",
+        [(gen_complete(3), 0, False), (gen_cycle(4), 1, True)],
+        ids=["triangle", "square"],
+    )
+    def test_box_flag_reads_the_optimizer_point(self, g, seed, want):
+        # the flag is taken before the gauge shift to geometric mean 1, which
+        # moves the triangle's lengths past the box and the square's off it
+        res = extremize_action(g, None, "max", restarts=1, seed=seed)
+        assert res.at_box_boundary is want
 
     def test_no_free_edges(self):
         g = gen_complete(3)
