@@ -141,52 +141,60 @@ def build_graph(vertex_ids, weighted_edges):
     return WeightedGraph(vertices, adj, lengths)
 
 
-class GeodesicTable:
-    """Lazy all-pairs shortest-path distances under the edge lengths.
+def _search(g: WeightedGraph, source, settled):
+    """Dijkstra from ``source`` that pauses after each vertex it settles into
+    ``settled``; it holds no table, so no table is a reference cycle."""
+    dist = {source: 0.0}
+    counter = 0  # heap tiebreaker, keeps pop order deterministic
+    heap = [(0.0, counter, source)]
+    while heap:
+        d, _, u = heapq.heappop(heap)
+        if u in settled:
+            continue
+        settled[u] = d
+        yield
+        for w in g._adj[u]:
+            nd = d + g._lengths[edge_key(u, w)]
+            if w not in settled and (w not in dist or nd < dist[w]):
+                dist[w] = nd
+                counter += 1
+                heapq.heappush(heap, (nd, counter, w))
 
-    Runs Dijkstra per queried source and caches the result.  Tables are tied
-    to one immutable graph; build a new table after `with_lengths`.
-    """
+
+class GeodesicTable:
+    """Shortest-path distances from one paused Dijkstra search per source: a
+    query resumes it only until the target is settled, so it costs time in the
+    ball of radius d(i, j).  Build a new table after `with_lengths`."""
 
     def __init__(self, g: WeightedGraph):
         self._g = g
-        self._rows = {}
+        self._searches = {}  # source -> ({vertex: distance} settled so far, search)
 
     def row(self, source):
         """Distances from ``source`` to every vertex."""
         if source not in self._g:
             raise UnknownVertex(f"unknown vertex {source!r}")
-        if source not in self._rows:
-            self._rows[source] = self._dijkstra(source)
-        return self._rows[source]
+        settled, search = self._searches.get(source) or self._dijkstra(source)
+        for _ in search:
+            pass
+        return settled
 
     def dist(self, i, j):
-        if i not in self._g or j not in self._g:
+        if i not in self._g._adj or j not in self._g._adj:
             raise UnknownVertex(f"unknown vertex in pair ({i!r}, {j!r})")
         if i == j:
             return 0.0
-        if j in self._rows:
-            return self._rows[j][i]
-        return self.row(i)[j]
+        if j in self._searches:  # the source fixes the float: j's search, else i's
+            i, j = j, i
+        settled, search = self._searches.get(i) or self._dijkstra(i)
+        while j not in settled:
+            next(search)
+        return settled[j]
 
     def _dijkstra(self, source):
-        g = self._g
-        dist = {source: 0.0}
-        done = set()
-        counter = 0  # heap tiebreaker, keeps pop order deterministic
-        heap = [(0.0, counter, source)]
-        while heap:
-            d, _, u = heapq.heappop(heap)
-            if u in done:
-                continue
-            done.add(u)
-            for w in g.neighbors(u):
-                nd = d + g.length(u, w)
-                if w not in done and (w not in dist or nd < dist[w]):
-                    dist[w] = nd
-                    counter += 1
-                    heapq.heappush(heap, (nd, counter, w))
-        return dist
+        settled = {}
+        self._searches[source] = settled, _search(self._g, source, settled)
+        return self._searches[source]
 
 
 def local_sums(g: WeightedGraph, geo: GeodesicTable, i):

@@ -190,9 +190,9 @@ def extremize_action(
     """Nelder-Mead over the log-lengths of the free edges, restarted from
     random interior points of the box [1e-6, 1e3].
 
-    The action is invariant under a common rescaling of all lengths, so the
-    best setting is reported with its geometric mean normalized to 1 when
-    every edge is free.
+    The action is invariant under a common rescaling of all lengths, so when
+    every edge is free the best setting is rescaled to the geometric mean
+    closest to 1 that keeps every length inside the box.
     """
     from scipy import optimize
     if objective not in ("max", "min"):
@@ -232,9 +232,10 @@ def extremize_action(
     at_edge = bool(
         np.any(best_x < LOG_LENGTH_LO + 1e-6) or np.any(best_x > LOG_LENGTH_HI - 1e-6)
     )
-    # gauge-fix: common rescaling leaves the action unchanged
+    # gauge-fix: common rescaling leaves the action unchanged, and the shift
+    # nearest to geometric mean 1 that keeps every length in the box is taken
     if not fixed_map:
-        best_x = best_x - np.mean(best_x)
+        best_x = best_x + np.clip(-np.mean(best_x), LOG_LENGTH_LO - best_x.min(), LOG_LENGTH_HI - best_x.max())
     lengths = dict(fixed_map)
     for k, key in enumerate(free):
         lengths[key] = math.exp(float(best_x[k]))

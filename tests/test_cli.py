@@ -1,8 +1,16 @@
 import json
+import math
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 
+import graphgrav
+from graphgrav import HexRegionSpec, gen_hex_region
 from graphgrav.cli import main
+from graphgrav.graph import graph_to_json
 
 
 def run(capsys, *argv):
@@ -184,6 +192,24 @@ def test_output_is_deterministic(tmp_path, capsys):
     _, first = run(capsys, "curvature", graph)
     _, second = run(capsys, "curvature", graph)
     assert first == second
+
+
+def test_action_output_is_identical_across_hash_seeds(tmp_path):
+    # which search answers a geodesic query depends on the order of earlier
+    # queries, so any set-ordered iteration would show up in the output
+    g, _ = gen_hex_region(HexRegionSpec(3))
+    rng = random.Random(3)
+    g = g.with_lengths({key: math.exp(rng.uniform(-1.0, 1.0)) for key in g.edges})
+    path = tmp_path / "hex.json"
+    path.write_text(json.dumps(graph_to_json(g)))
+    src = os.path.dirname(os.path.dirname(graphgrav.__file__))
+    outs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+        cmd = [sys.executable, "-m", "graphgrav.cli", "action", str(path)]
+        outs.append(subprocess.run(cmd, env=env, capture_output=True, check=True).stdout)
+    assert outs[0] == outs[1]
+    assert len(json.loads(outs[0])["edges"]) == g.num_edges
 
 
 class TestReproduceCommand:

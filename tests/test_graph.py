@@ -1,10 +1,23 @@
+import gc
 import itertools
+import math
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphgrav import GeodesicTable, build_graph, extract_region, local_sums, sigma_edges
+from graphgrav import (
+    GeodesicTable,
+    HexRegionSpec,
+    action_plain,
+    build_graph,
+    extract_region,
+    gen_hex_region,
+    gen_tree,
+    local_sums,
+    sigma_edges,
+)
 from graphgrav.errors import (
     Disconnected,
     DisconnectedRegion,
@@ -113,6 +126,86 @@ class TestGeodesics:
         geo = GeodesicTable(g)
         for u, v in g.edges:
             assert geo.dist(u, v) == pytest.approx(g.length(u, v))
+
+
+@st.composite
+def graphs_and_queries(draw):
+    """Random connected graph with log-uniform lengths in [1e-6, 1e3], and
+    random vertex pairs to query in order."""
+    n = draw(st.integers(2, 9))
+    verts = [str(k) for k in range(n)]
+    pairs = {(draw(st.integers(0, k - 1)), k) for k in range(1, n)}  # spanning tree
+    index = st.integers(0, n - 1)
+    for a, b in draw(st.lists(st.tuples(index, index), max_size=2 * n)):
+        if a != b:
+            pairs.add((min(a, b), max(a, b)))
+    log_length = st.floats(math.log(1e-6), math.log(1e3))
+    edges = [(verts[a], verts[b], math.exp(draw(log_length))) for a, b in sorted(pairs)]
+    vertex = st.sampled_from(verts)
+    queries = draw(st.lists(st.tuples(vertex, vertex), max_size=4 * n))
+    return build_graph(verts, edges), queries
+
+
+class TestLazyGeodesics:
+    """Queries resume a paused search per source; every answer must be the
+    float that the fully drained search of the same source gives."""
+
+    @given(graphs_and_queries())
+    @settings(max_examples=150, deadline=None)
+    def test_queries_match_drained_rows(self, case):
+        g, queries = case
+        geo = GeodesicTable(g)
+        started = set()
+        for i, j in queries:
+            got = geo.dist(i, j)
+            if i == j:
+                assert got == 0.0
+                continue
+            # j's search answers if it was started, else i's is used
+            source, target = (j, i) if j in started else (i, j)
+            started.add(source)
+            assert got == GeodesicTable(g).row(source)[target]
+        for source in g.vertices:
+            assert geo.row(source) == GeodesicTable(g).row(source)
+        with pytest.raises(UnknownVertex):
+            geo.dist(g.vertices[0], "missing")
+        with pytest.raises(UnknownVertex):
+            geo.dist("missing", "missing")
+        with pytest.raises(UnknownVertex):
+            geo.row("missing")
+
+    def test_table_is_not_a_reference_cycle(self, rng):
+        # a paused search that held its table would leave every table to the
+        # cycle collector, and memory would grow between collections
+        g = random_connected_graph(rng, 6)
+        geo = GeodesicTable(g)
+        geo.dist(g.vertices[0], g.vertices[-1])
+        ref = weakref.ref(geo)
+        gc.disable()
+        try:
+            del geo
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    @staticmethod
+    def _settled_per_edge(g):
+        geo = GeodesicTable(g)
+        action_plain(g, geo)
+        return sum(len(settled) for settled, _ in geo._searches.values()) / g.num_edges
+
+    @pytest.mark.parametrize(
+        "small, large",
+        [
+            (gen_hex_region(HexRegionSpec(4))[0], gen_hex_region(HexRegionSpec(8))[0]),
+            (gen_tree(2, 5), gen_tree(2, 8)),
+        ],
+        ids=["hex", "tree"],
+    )
+    def test_action_settles_a_bounded_ball_per_edge(self, small, large):
+        # a query settles only the ball up to its target, so the work per
+        # edge must not grow with the graph; full rows would grow with |V|
+        assert self._settled_per_edge(large) <= 1.5 * self._settled_per_edge(small)
 
 
 class TestLocalSums:

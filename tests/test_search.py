@@ -9,7 +9,9 @@ import pytest
 
 import graphgrav
 from graphgrav import (
+    GeodesicTable,
     Setting,
+    action_plain,
     edge_key,
     extract_region,
     extremize_action,
@@ -232,10 +234,20 @@ class TestExtremize:
         ids=["triangle", "square"],
     )
     def test_box_flag_reads_the_optimizer_point(self, g, seed, want):
-        # the flag is taken before the gauge shift to geometric mean 1, which
-        # moves the triangle's lengths past the box and the square's off it
+        # the flag is read at the Nelder-Mead point, before the gauge shift,
+        # which moves the triangle's longest length onto the box edge and the
+        # square's shortest off it
         res = extremize_action(g, None, "max", restarts=1, seed=seed)
         assert res.at_box_boundary is want
+
+    def test_gauge_shift_stays_in_box(self):
+        # a shift to geometric mean 1 would stretch the longest edge to 5.6e3
+        res = extremize_action(gen_complete(3), None, "max", restarts=1, seed=0)
+        lengths = res.setting.lengths
+        assert all(1e-6 <= ell <= 1e3 for ell in lengths.values())
+        mean = math.exp(math.fsum(math.log(ell) for ell in lengths.values()) / len(lengths))
+        g = gen_complete(3).with_lengths({key: ell / mean for key, ell in lengths.items()})
+        assert res.objective == pytest.approx(action_plain(g, GeodesicTable(g)).total, abs=1e-9)
 
     def test_no_free_edges(self):
         g = gen_complete(3)
