@@ -15,8 +15,6 @@ from .action import (
     tree_action_hex,
 )
 from .curvature import (
-    CurvatureReport,
-    curvature_report,
     edge_curvatures,
     kappa,
     kappa_t,
@@ -73,7 +71,6 @@ from .search import SearchResult, extremize_action, newton_solve_teom
 from .transport import (
     Distribution,
     TransportPlan,
-    delta,
     edge_move_cost,
     neighbor_distribution,
     wasserstein,

@@ -28,10 +28,6 @@ class ActionReport:
 
 def action_plain(g: WeightedGraph, geo: GeodesicTable, edge_set=None) -> ActionReport:
     """Sum of limit curvatures over ``edge_set`` (default: all edges)."""
-    if edge_set is not None:
-        for u, v in edge_set:
-            if not g.has_edge(u, v):
-                raise NotAnEdge(f"({u!r}, {v!r}) is not an edge")
     per_edge = edge_curvatures(g, geo, edge_set)
     return ActionReport(
         total=sum(per_edge.values()),
@@ -39,6 +35,19 @@ def action_plain(g: WeightedGraph, geo: GeodesicTable, edge_set=None) -> ActionR
         bound_upper=bound_upper_global(g),
         variant="plain",
     )
+
+
+def _closed_form_parts(g, geo, region):
+    """The closed-form curvature of every edge of E(Sigma), and the interior
+    vertex sum of 2 - c^2/d in a fixed vertex order."""
+    per_edge = {
+        edge_key(u, v): kappa_tree_closed(g, geo, u, v) for u, v in sigma_edges(g, region)
+    }
+    interior = 0.0
+    for i in sorted(region.interior, key=repr):
+        c, d = local_sums(g, geo, i)
+        interior += 2.0 - c * c / d
+    return per_edge, interior
 
 
 def _inward_edge(g, region, i):
@@ -60,18 +69,12 @@ def action_ghy(g: WeightedGraph, region: Region) -> ActionReport:
     """
     if not is_tree(g):
         raise NotATree("boundary closed forms are defined on trees")
-    geo = _TreeLengths(g)
-    total = 0.0
-    for i in sorted(region.interior, key=repr):
-        c, d = local_sums(g, geo, i)
-        total += 2.0 - c * c / d
+    geo = GeodesicTable(g)
+    per_edge, total = _closed_form_parts(g, geo, region)
     for i in sorted(region.boundary_vertices, key=repr):
         _inward_edge(g, region, i)
         c, d = local_sums(g, geo, i)
         total -= c * c / d
-    per_edge = {
-        edge_key(u, v): kappa_tree_closed(g, geo, u, v) for u, v in sigma_edges(g, region)
-    }
     return ActionReport(
         total=total,
         per_edge=per_edge,
@@ -89,11 +92,7 @@ def action_region_plain(g: WeightedGraph, region: Region) -> ActionReport:
     through their unique inward edge of length P."""
     if not is_tree(g):
         raise NotATree("boundary closed forms are defined on trees")
-    geo = _TreeLengths(g)
-    total = 0.0
-    for i in sorted(region.interior, key=repr):
-        c, d = local_sums(g, geo, i)
-        total += 2.0 - c * c / d
+    per_edge, total = _closed_form_parts(g, GeodesicTable(g), region)
     for i in sorted(region.boundary_vertices, key=repr):
         i0 = _inward_edge(g, region, i)
         p_inv = 1.0 / g.length(i, i0)
@@ -104,9 +103,6 @@ def action_region_plain(g: WeightedGraph, region: Region) -> ActionReport:
                 c_out += 1.0 / g.length(i, j)
                 d_out += 1.0 / g.length(i, j) ** 2
         total += boundary_term(p_inv, c_out, d_out)
-    per_edge = {
-        edge_key(u, v): kappa_tree_closed(g, geo, u, v) for u, v in sigma_edges(g, region)
-    }
     return ActionReport(
         total=total,
         per_edge=per_edge,
@@ -136,17 +132,10 @@ def tree_action_hex(g: WeightedGraph, geo: GeodesicTable, region: Region) -> Act
     sum_interior (2 - c^2/d) - sum_boundary 1/3, which matches ``total``
     whenever the boundary-incident lengths are constant."""
     _require_hex_region(g, region)
-    per_edge = {}
-    for u, v in sigma_edges(g, region):
-        per_edge[edge_key(u, v)] = kappa_tree_closed(g, geo, u, v)
-    total = sum(per_edge.values())
-    identity = 0.0
-    for i in sorted(region.interior, key=repr):
-        c, d = local_sums(g, geo, i)
-        identity += 2.0 - c * c / d
+    per_edge, identity = _closed_form_parts(g, geo, region)
     identity -= len(region.boundary_vertices) / 3.0
     return ActionReport(
-        total=total,
+        total=sum(per_edge.values()),
         per_edge=per_edge,
         bound_upper=bound_upper_global(g),
         variant="tree_action",
@@ -173,7 +162,7 @@ def bound_upper_global(g: WeightedGraph) -> float:
 
 
 def ratio_bounds(g: WeightedGraph, geo: GeodesicTable, i):
-    """Check 1 < c_i^2/d_i <= deg(i) at vertex i.
+    """The ratio c_i^2/d_i at vertex i, and whether 1 < c_i^2/d_i <= deg(i).
 
     Degree-1 vertices sit exactly at the lower end, so the strict bound is
     only required for degree >= 2; the upper bound is tight exactly when all
@@ -182,12 +171,8 @@ def ratio_bounds(g: WeightedGraph, geo: GeodesicTable, i):
     c, d = local_sums(g, geo, i)
     ratio = c * c / d
     deg = g.degree(i)
-    if deg >= 2:
-        lower_ok = ratio > 1.0
-    else:
-        lower_ok = abs(ratio - 1.0) <= 1e-12
-    upper_ok = ratio <= deg + 1e-9
-    return lower_ok, upper_ok
+    lower_ok = ratio > 1.0 if deg >= 2 else abs(ratio - 1.0) < 1e-12
+    return ratio, lower_ok and ratio <= deg + 1e-9
 
 
 def partial_action_complete(g: WeightedGraph, geo: GeodesicTable) -> float:
@@ -219,18 +204,3 @@ def partial_cost(g: WeightedGraph, geo: GeodesicTable, i, j, t: float) -> float:
     _, d = local_sums(g, geo, i)
     return (1.0 - t - t / (p * p) / d) * p
 
-
-class _TreeLengths:
-    """Adapter exposing direct edge lengths through the geodesic interface.
-
-    On a tree the geodesic between neighbors is the edge, so the closed forms
-    can skip Dijkstra entirely; only neighbor distances are ever requested.
-    """
-
-    def __init__(self, g: WeightedGraph):
-        self._g = g
-
-    def dist(self, i, j):
-        if i == j:
-            return 0.0
-        return self._g.length(i, j)

@@ -3,7 +3,12 @@
 Subcommands: gen, curvature, action, verify-eom, solve-eom, search, bounds,
 reproduce.  All input and output is JSON; runs are deterministic for a given
 --seed.  Exit codes: 0 success, 1 semantic failure (not a solution, criterion
-failed), 2 parse error, 3 invariant violation.
+failed), 2 input error, 3 invariant violation.
+
+Every input file is read in one load stage before the command runs; only a
+failure there (malformed JSON, an unreadable file, a missing key or a value
+of the wrong type) is an input error.  An internal error later on is not
+caught: it ends the run with a traceback.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import random
 import sys
 
 from . import reproduce as repro
-from .action import action_ghy, action_plain, action_region_plain, bound_upper_global, tree_action_hex
+from .action import action_ghy, action_plain, action_region_plain, ratio_bounds, tree_action_hex
 from .curvature import edge_curvatures, kappa_t
 from .dynamics import Setting, interior_edges, setting_from_json, setting_to_json, verify_solution
 from .errors import GraphGravError
@@ -37,7 +42,6 @@ from .graph import (
     graph_from_json,
     graph_to_json,
     load_json,
-    local_sums,
     region_from_json,
     region_to_json,
 )
@@ -58,8 +62,27 @@ def _emit(doc, out_path):
         print(text)
 
 
-def _load_graph(path):
-    return graph_from_json(load_json(path))
+def _load_inputs(args):
+    """The load stage: read and parse every input file the command names.
+
+    Returns the graph as ``g``, with the lengths of ``--setting`` applied
+    where the command takes them, and each setting file (setting, boundary,
+    init, fixed) under its own name.  A region is read only by the action
+    variants that use one.
+    """
+    if args.command in ("gen", "reproduce"):
+        return {}
+    inp = {"g": graph_from_json(load_json(args.graph))}
+    for name in ("setting", "boundary", "init", "fixed"):
+        path = getattr(args, name, None)
+        inp[name] = setting_from_json(load_json(path)) if path else None
+    if args.command != "verify-eom" and inp["setting"] is not None:
+        inp["g"] = inp["g"].with_lengths(inp["setting"])
+    if getattr(args, "variant", "plain") != "plain":
+        if not args.region:
+            raise ValueError("this variant needs --region")
+        inp["region"] = region_from_json(load_json(args.region), inp["g"])
+    return inp
 
 
 def _edge_rows(per_edge):
@@ -69,7 +92,7 @@ def _edge_rows(per_edge):
     ]
 
 
-def cmd_gen(args):
+def cmd_gen(args, inp):
     setting = None
     region = None
     if args.setting in ("half-half", "two-progression") and args.family != "tree":
@@ -107,10 +130,8 @@ def cmd_gen(args):
     return EXIT_OK
 
 
-def cmd_curvature(args):
-    g = _load_graph(args.graph)
-    if args.setting:
-        g = g.with_lengths(setting_from_json(load_json(args.setting)))
+def cmd_curvature(args, inp):
+    g = inp["g"]
     geo = GeodesicTable(g)
     if args.t is not None:
         per_edge = {edge_key(u, v): kappa_t(g, geo, u, v, args.t) for u, v in g.edges}
@@ -123,22 +144,15 @@ def cmd_curvature(args):
     return EXIT_OK
 
 
-def cmd_action(args):
-    g = _load_graph(args.graph)
-    if args.setting:
-        g = g.with_lengths(setting_from_json(load_json(args.setting)))
+def cmd_action(args, inp):
+    g = inp["g"]
     geo = GeodesicTable(g)
-    if args.variant in ("ghy", "region-plain", "tree-hex"):
-        if not args.region:
-            print("this variant needs --region", file=sys.stderr)
-            return EXIT_PARSE
-        region = region_from_json(load_json(args.region), g)
-        if args.variant == "ghy":
-            rep = action_ghy(g, region)
-        elif args.variant == "region-plain":
-            rep = action_region_plain(g, region)
-        else:
-            rep = tree_action_hex(g, geo, region)
+    if args.variant == "ghy":
+        rep = action_ghy(g, inp["region"])
+    elif args.variant == "region-plain":
+        rep = action_region_plain(g, inp["region"])
+    elif args.variant == "tree-hex":
+        rep = tree_action_hex(g, geo, inp["region"])
     else:
         rep = action_plain(g, geo)
     doc = {
@@ -153,10 +167,8 @@ def cmd_action(args):
     return EXIT_OK
 
 
-def cmd_verify_eom(args):
-    g = _load_graph(args.graph)
-    setting = setting_from_json(load_json(args.setting))
-    rep = verify_solution(g, setting, tol=args.tol)
+def cmd_verify_eom(args, inp):
+    rep = verify_solution(inp["g"], inp["setting"], tol=args.tol)
     doc = {
         "is_solution": rep.is_solution,
         "max_abs_residual": rep.max_abs_residual,
@@ -169,13 +181,10 @@ def cmd_verify_eom(args):
     return EXIT_OK if rep.is_solution else EXIT_SEMANTIC
 
 
-def cmd_solve_eom(args):
-    g = _load_graph(args.graph)
-    boundary = setting_from_json(load_json(args.boundary))
-    free = [edge_key(u, v) for u, v in interior_edges(g) if edge_key(u, v) not in boundary]
-    if args.init:
-        init = setting_from_json(load_json(args.init))
-    else:
+def cmd_solve_eom(args, inp):
+    g, boundary, init = inp["g"], inp["boundary"], inp["init"]
+    if init is None:
+        free = [edge_key(u, v) for u, v in interior_edges(g) if edge_key(u, v) not in boundary]
         rng = random.Random(args.seed)
         init = Setting(
             {key: math.exp(rng.uniform(math.log(0.5), math.log(2.0))) for key in free}
@@ -194,11 +203,9 @@ def cmd_solve_eom(args):
     return EXIT_OK if res.converged else EXIT_SEMANTIC
 
 
-def cmd_search(args):
-    g = _load_graph(args.graph)
-    fixed = setting_from_json(load_json(args.fixed)) if args.fixed else None
+def cmd_search(args, inp):
     res = extremize_action(
-        g, fixed, objective=args.objective, restarts=args.restarts, seed=args.seed
+        inp["g"], inp["fixed"], objective=args.objective, restarts=args.restarts, seed=args.seed
     )
     doc = {
         "objective": args.objective,
@@ -214,32 +221,27 @@ def cmd_search(args):
     return EXIT_OK
 
 
-def cmd_bounds(args):
-    g = _load_graph(args.graph)
-    if args.setting:
-        g = g.with_lengths(setting_from_json(load_json(args.setting)))
+def cmd_bounds(args, inp):
+    g = inp["g"]
     geo = GeodesicTable(g)
     rep = action_plain(g, geo)
     ratios = []
     ratios_ok = True
     for v in g.vertices:
-        c, d = local_sums(g, geo, v)
-        ratio = c * c / d
-        deg = g.degree(v)
-        ok = ratio <= deg + 1e-9 and (ratio > 1.0 if deg >= 2 else abs(ratio - 1.0) < 1e-12)
+        ratio, ok = ratio_bounds(g, geo, v)
         ratios_ok &= ok
-        ratios.append({"vertex": str(v), "ratio": ratio, "degree": deg, "ok": ok})
+        ratios.append({"vertex": str(v), "ratio": ratio, "degree": g.degree(v), "ok": ok})
     doc = {
         "action": rep.total,
-        "bound_upper": bound_upper_global(g),
-        "bound_holds": rep.total <= bound_upper_global(g) + 1e-9,
+        "bound_upper": rep.bound_upper,
+        "bound_holds": rep.total <= rep.bound_upper + 1e-9,
         "vertex_ratios": ratios,
     }
     _emit(doc, args.out)
     return EXIT_OK if doc["bound_holds"] and ratios_ok else EXIT_SEMANTIC
 
 
-def cmd_reproduce(args):
+def cmd_reproduce(args, inp):
     rows = repro.run_all()
     width = max(len(r.name) for r in rows)
     all_ok = True
@@ -353,13 +355,14 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OSError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        try:
+            inp = _load_inputs(args)
+        except (KeyError, TypeError, ValueError, OSError) as exc:
+            print(f"input error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
+        return args.func(args, inp)
     except GraphGravError as exc:
         print(f"invariant violation: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

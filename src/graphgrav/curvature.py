@@ -10,8 +10,6 @@ agree.  kappa_t is accumulated as sum(flow * (P - cost)) / P rather than
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import NoConvergence, NotAnEdge
 from .graph import GeodesicTable, WeightedGraph, edge_key, local_sums
 from .transport import neighbor_distribution, wasserstein
@@ -19,17 +17,6 @@ from .transport import neighbor_distribution, wasserstein
 LIMIT_TOL = 1e-10
 INITIAL_T = 0.25
 MAX_HALVINGS = 60
-
-
-@dataclass(frozen=True)
-class CurvatureReport:
-    """Curvature of one edge: finite-t samples, the limit, and the largest
-    sampled t at which the limit slope was still exact."""
-
-    edge: tuple
-    kappa_t: dict
-    kappa: float
-    breakpoint_t: float
 
 
 def _require_edge(g, i, j):
@@ -52,17 +39,13 @@ def kappa_t(g: WeightedGraph, geo: GeodesicTable, i, j, t: float) -> float:
 
 def kappa(g: WeightedGraph, geo: GeodesicTable, i, j) -> float:
     """Limit of kappa_t(t)/t as t -> 0, found by halving from t = 1/4."""
-    return _limit(g, geo, i, j)[0]
-
-
-def _limit(g, geo, i, j):
     t = INITIAL_T
     prev = kappa_t(g, geo, i, j, t) / t
     for _ in range(MAX_HALVINGS):
         t *= 0.5
         cur = kappa_t(g, geo, i, j, t) / t
         if abs(cur - prev) < LIMIT_TOL:
-            return cur, 2.0 * t
+            return cur
         prev = cur
     raise NoConvergence(
         f"curvature slope for edge ({i!r}, {j!r}) did not stabilize "
@@ -81,17 +64,6 @@ def kappa_tree_closed(g: WeightedGraph, geo: GeodesicTable, i, j) -> float:
     ci, di = local_sums(g, geo, i)
     cj, dj = local_sums(g, geo, j)
     return (2.0 / (p * p)) * (1.0 / di + 1.0 / dj) - (ci / di + cj / dj) / p
-
-
-def curvature_report(g, geo, i, j, ts=(0.1, 0.2, 0.4)) -> CurvatureReport:
-    samples = {t: kappa_t(g, geo, i, j, t) for t in ts}
-    limit, breakpoint_t = _limit(g, geo, i, j)
-    return CurvatureReport(
-        edge=edge_key(i, j),
-        kappa_t=samples,
-        kappa=limit,
-        breakpoint_t=breakpoint_t,
-    )
 
 
 def edge_curvatures(g: WeightedGraph, geo: GeodesicTable, edges=None) -> dict:

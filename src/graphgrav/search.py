@@ -63,6 +63,9 @@ def newton_solve_teom(
         if key not in interior_set and key not in boundary:
             raise BadParams(f"boundary must fix non-interior edge {key!r}")
     free = [key for key in interior if key not in boundary]
+    for key in free:
+        if key not in init:
+            raise BadParams(f"init must give a length for free edge {key!r}")
     fixed = {key: boundary[key] for key in boundary.lengths if key in edge_keys}
 
     x0 = np.array([math.log(init[key]) for key in free], dtype=float)

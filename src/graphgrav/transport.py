@@ -57,11 +57,6 @@ class TransportPlan:
     sink_potential: dict = field(default_factory=dict)
 
 
-def delta(i) -> Distribution:
-    """Unit mass at a single vertex."""
-    return Distribution({i: 1.0})
-
-
 def neighbor_distribution(g: WeightedGraph, geo: GeodesicTable, i, t: float) -> Distribution:
     """Lazy-walk distribution: keeps 1-t at i and spreads t over the neighbors
     proportionally to the inverse squared geodesic length."""

@@ -34,6 +34,7 @@ from graphgrav import (
 from graphgrav.errors import (
     NonpositiveInput,
     NonUniqueInwardEdge,
+    NotAnEdge,
     NotATree,
     NotComplete,
     NotHexRegion,
@@ -80,6 +81,10 @@ class TestPlainAction:
         g = random_connected_graph(rng, 5)
         rep = action_plain(g, GeodesicTable(g))
         assert rep.total == pytest.approx(sum(rep.per_edge.values()))
+
+    def test_rejects_non_edge(self, line3, line3_geo):
+        with pytest.raises(NotAnEdge):
+            action_plain(line3, line3_geo, [("a", "b"), ("a", "c")])
 
 
 class TestGhy:
@@ -264,9 +269,9 @@ class TestRatioBounds:
     def test_constant_attains_degree(self):
         g = gen_complete(4)
         geo = GeodesicTable(g)
-        c, d = local_sums(g, geo, "0")
-        assert c * c / d == pytest.approx(g.degree("0"))
-        assert ratio_bounds(g, geo, "0") == (True, True)
+        ratio, ok = ratio_bounds(g, geo, "0")
+        assert ratio == pytest.approx(g.degree("0"))
+        assert ok
 
     def test_matching_limit(self):
         g = gen_complete(4)
@@ -274,15 +279,18 @@ class TestRatioBounds:
         g2 = g.with_lengths(matching_setting(g, m, 1e-4).lengths)
         geo = GeodesicTable(g2)
         for v in g2.vertices:
-            c, d = local_sums(g2, geo, v)
-            assert c * c / d == pytest.approx(1.0, abs=1e-3)
-            assert ratio_bounds(g2, geo, v) == (True, True)
+            ratio, ok = ratio_bounds(g2, geo, v)
+            assert ratio == pytest.approx(1.0, abs=1e-3)
+            assert ok
 
     def test_two_lengths(self):
         g = build_graph(["a", "b", "c"], [("a", "b", 1.0), ("b", "c", 2.0)])
         geo = GeodesicTable(g)
-        c, d = local_sums(g, geo, "b")
-        assert c * c / d == pytest.approx(9.0 / 5.0)
+        ratio, ok = ratio_bounds(g, geo, "b")
+        assert ratio == pytest.approx(9.0 / 5.0)
+        assert ok
+        # a leaf sits exactly at the lower end, which it may
+        assert ratio_bounds(g, geo, "a") == (1.0, True)
 
 
 class TestPartialCosts:

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import graphgrav
-from graphgrav import HexRegionSpec, gen_hex_region
+from graphgrav import HexRegionSpec, edge_key, gen_cycle, gen_hex_region, gen_tree, interior_edges
 from graphgrav.cli import main
 from graphgrav.graph import graph_to_json
 
@@ -194,22 +194,84 @@ def test_output_is_deterministic(tmp_path, capsys):
     assert first == second
 
 
-def test_action_output_is_identical_across_hash_seeds(tmp_path):
-    # which search answers a geodesic query depends on the order of earlier
-    # queries, so any set-ordered iteration would show up in the output
+def _hex_file(tmp_path):
     g, _ = gen_hex_region(HexRegionSpec(3))
     rng = random.Random(3)
     g = g.with_lengths({key: math.exp(rng.uniform(-1.0, 1.0)) for key in g.edges})
     path = tmp_path / "hex.json"
     path.write_text(json.dumps(graph_to_json(g)))
+    return [str(path)]
+
+
+def _tree_boundary_files(tmp_path):
+    g = gen_tree(2, 3)
+    interior = {edge_key(u, v) for u, v in interior_edges(g)}
+    boundary = {
+        "lengths": [{"u": u, "v": v, "len": 1.0} for u, v in g.edges if edge_key(u, v) not in interior]
+    }
+    (tmp_path / "tree.json").write_text(json.dumps(graph_to_json(g)))
+    (tmp_path / "boundary.json").write_text(json.dumps(boundary))
+    return [str(tmp_path / "tree.json"), str(tmp_path / "boundary.json"), "--restarts", "2"]
+
+
+def _c4_file(tmp_path):
+    (tmp_path / "c4.json").write_text(json.dumps(graph_to_json(gen_cycle(4))))
+    return [str(tmp_path / "c4.json"), "--objective", "min", "--restarts", "1"]
+
+
+@pytest.mark.parametrize(
+    "command, inputs, extra",
+    [
+        ("action", _hex_file, []),
+        ("curvature", _hex_file, []),
+        ("curvature", _hex_file, ["--t", "0.3"]),
+        ("solve-eom", _tree_boundary_files, []),
+        ("search", _c4_file, []),
+    ],
+    ids=["action", "curvature", "curvature-t", "solve-eom", "search"],
+)
+def test_output_is_identical_across_hash_seeds(tmp_path, command, inputs, extra):
+    # which search answers a geodesic query depends on the order of earlier
+    # queries, so any set-ordered iteration would show up in the output
+    argv = [command, *inputs(tmp_path), *extra]
     src = os.path.dirname(os.path.dirname(graphgrav.__file__))
     outs = []
     for hash_seed in ("0", "1"):
         env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
-        cmd = [sys.executable, "-m", "graphgrav.cli", "action", str(path)]
+        cmd = [sys.executable, "-m", "graphgrav.cli", *argv]
         outs.append(subprocess.run(cmd, env=env, capture_output=True, check=True).stdout)
     assert outs[0] == outs[1]
-    assert len(json.loads(outs[0])["edges"]) == g.num_edges
+    doc = json.loads(outs[0])
+    if command in ("action", "curvature"):
+        with open(argv[1]) as fh:
+            assert len(doc["edges"]) == len(json.load(fh)["edges"])
+    else:
+        assert doc["setting"]["lengths"]
+
+
+class TestExitCodes:
+    def test_internal_error_is_not_an_input_error(self, tmp_path, monkeypatch):
+        import graphgrav.cli as cli
+
+        def broken(*args, **kwargs):
+            raise TypeError("internal bug")
+
+        monkeypatch.setattr(cli, "action_plain", broken)
+        with pytest.raises(TypeError, match="internal bug"):
+            main(["action", write_triangle(tmp_path)])
+
+    def test_missing_key_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b"}]}))
+        assert main(["action", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("input error")
+
+    def test_init_missing_a_free_edge_is_an_invariant_violation(self, tmp_path, capsys):
+        graph, boundary = _tree_boundary_files(tmp_path)[:2]
+        init = tmp_path / "init.json"
+        init.write_text(json.dumps({"lengths": []}))
+        code, _ = run(capsys, "solve-eom", graph, boundary, "--init", str(init))
+        assert code == 3
 
 
 class TestReproduceCommand:

@@ -2,7 +2,6 @@ import pytest
 
 from graphgrav import (
     GeodesicTable,
-    curvature_report,
     gen_complete,
     gen_hex_region,
     gen_tree,
@@ -75,18 +74,6 @@ class TestKappaLimit:
             u, v = edges[rng.randrange(len(edges))]
             k1, k2, k4 = (kappa_t(g, geo, u, v, t) for t in (0.1, 0.2, 0.4))
             assert k2 >= (2.0 * k1 + k4) / 3.0 - 1e-9
-
-    def test_report_breakpoint(self, line3, line3_geo):
-        rep = curvature_report(line3, line3_geo, "a", "b")
-        assert rep.kappa == pytest.approx(1.0)
-        assert 0.0 < rep.breakpoint_t <= 0.25
-        # below the breakpoint the slope is exactly the limit
-        t = rep.breakpoint_t
-        assert kappa_t(line3, line3_geo, "a", "b", t) / t == pytest.approx(rep.kappa)
-        # the sampled map itself is concave
-        (t1, k1), (t2, k2), (t3, k3) = sorted(rep.kappa_t.items())
-        lam = (t3 - t2) / (t3 - t1)
-        assert k2 >= lam * k1 + (1 - lam) * k3 - 1e-9
 
 
 class TestTreeClosedForm:
