@@ -22,9 +22,18 @@ from .graph import Region, WeightedGraph, build_graph, edge_key, extract_region
 
 _TreeShape = namedtuple("_TreeShape", "vertices edges parent children depth_of")
 
+MAX_TREE_VERTICES = 100_000
+
 
 def _tree_shape(q: int, depth: int) -> _TreeShape:
-    """Rooted truncation of the degree-(q+1) tree, breadth-first ids."""
+    """Rooted truncation of the degree-(q+1) tree, breadth-first ids.
+    Raises TooLarge above MAX_TREE_VERTICES, before building anything."""
+    count, ring = 1, q + 1
+    for _ in range(depth):
+        count += ring
+        if count > MAX_TREE_VERTICES:
+            raise TooLarge(f"tree truncation is capped at {MAX_TREE_VERTICES} vertices")
+        ring *= q
     root = "0"
     vertices = [root]
     parent = {root: None}

@@ -229,10 +229,11 @@ def extract_region(g: WeightedGraph, sigma_vertices) -> Region:
     """Region over ``sigma_vertices``: boundary vertices are those with at
     least one neighbor outside, boundary edges those between two boundary
     vertices or leaving the region."""
-    sigma = set(sigma_vertices)
+    ordered = list(sigma_vertices)
+    sigma = set(ordered)
     if not sigma:
         raise EmptyRegion("region must contain at least one vertex")
-    for v in sigma:
+    for v in ordered:  # in the given order, so the message names the same vertex
         if v not in g:
             raise UnknownVertex(f"unknown vertex {v!r}")
     # induced connectivity

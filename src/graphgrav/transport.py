@@ -1,10 +1,11 @@
 """Vertex probability distributions and exact transportation costs.
 
 Two independent solvers compute the same optimal cost: a dense transportation
-simplex over the support-by-support geodesic cost matrix (the primary path),
-and a successive-shortest-path min-cost flow on the bipartite support graph
-(the verification oracle).  A third formulation moves mass only along graph
-edges and doubles as the source of 1-Lipschitz dual potentials.
+simplex over the support-by-support geodesic cost matrix, started from a
+least-cost basis (the primary path), and a successive-shortest-path min-cost
+flow on the bipartite support graph (the verification oracle).  A third
+formulation moves mass only along graph edges and doubles as the source of
+1-Lipschitz dual potentials.
 """
 
 from __future__ import annotations
@@ -73,8 +74,10 @@ def neighbor_distribution(g: WeightedGraph, geo: GeodesicTable, i, t: float) -> 
 def wasserstein(g: WeightedGraph, geo: GeodesicTable, mu: Distribution, nu: Distribution) -> TransportPlan:
     """Exact optimal transport between mu and nu under geodesic costs.
 
-    Solved by a dense transportation simplex on the supports; Bland's rule
-    resolves degenerate pivots so termination is guaranteed.
+    Solved by a dense transportation simplex on the supports, started from
+    a least-cost basis (cheapest cells first, so mass shared by mu and nu
+    mostly stays put); Bland's rule resolves degenerate pivots so
+    termination is guaranteed.
     """
     sources = _checked_support(g, mu)
     sinks = _checked_support(g, nu)
@@ -149,29 +152,43 @@ def _checked_support(g, dist):
 # transportation simplex
 
 
-def _northwest_corner(supply, demand):
+def _least_cost_start(supply, demand, cost):
+    """Least-cost (matrix-minimum) basic feasible solution.
+
+    Cells are taken cheapest first; each gets as much mass as its open row
+    and column allow and then closes exactly one of them, so the basis is a
+    spanning tree of m + n - 1 cells.  Zero-cost cells come first, so mass
+    shared by two overlapping distributions stays put.  Also returns
+    1 + the largest absolute cost, read off the sorted cells.
+    """
     m, n = len(supply), len(demand)
     a = list(supply)
     b = list(demand)
+    cells = sorted((cost[i][j], i, j) for i in range(m) for j in range(n))
+    row_open = [True] * m
+    col_open = [True] * n
+    rows_left, cols_left = m, n
     flow = {}
     basis = []
-    i = j = 0
-    while True:
+    for _, i, j in cells:
+        if not (row_open[i] and col_open[j]):
+            continue
         q = min(a[i], b[j])
         flow[(i, j)] = q
         basis.append((i, j))
+        if rows_left == 1 and cols_left == 1:
+            break
         a[i] -= q
         b[j] -= q
-        if i == m - 1 and j == n - 1:
-            break
-        # advance exactly one index so the basis stays a spanning tree
-        if a[i] <= b[j] and i < m - 1:
-            i += 1
-        elif j < n - 1:
-            j += 1
+        # close exactly one line so the basis stays a spanning tree
+        if (a[i] <= b[j] and rows_left > 1) or cols_left == 1:
+            row_open[i] = False
+            rows_left -= 1
         else:
-            i += 1
-    return flow, basis
+            col_open[j] = False
+            cols_left -= 1
+    scale = 1.0 + max(abs(cells[0][0]), abs(cells[-1][0]))
+    return flow, basis, scale
 
 
 def _basis_duals(basis, cost, m, n):
@@ -246,8 +263,7 @@ def _basis_cycle(basis, enter):
 
 def _transportation_simplex(supply, demand, cost, max_pivots=100000):
     m, n = len(supply), len(demand)
-    flow, basis = _northwest_corner(supply, demand)
-    scale = 1.0 + max(max(abs(c) for c in row) for row in cost)
+    flow, basis, scale = _least_cost_start(supply, demand, cost)
     tol = 1e-12 * scale
     for _ in range(max_pivots):
         u, v = _basis_duals(basis, cost, m, n)
@@ -271,9 +287,9 @@ def _transportation_simplex(supply, demand, cost, max_pivots=100000):
         leave = min((c for c in givers if flow[c] <= theta), key=lambda c: c)
         for k, c in enumerate(cycle):
             if k == 0:
-                flow[c] = flow.get(c, 0.0) + theta
+                flow[c] = theta  # entering cells are non-basic and carry no flow
             elif k % 2 == 1:
-                flow[c] = max(0.0, flow[c] - theta)
+                flow[c] = max(flow[c] - theta, 0 * theta)  # a zero of the flows' own type
             else:
                 flow[c] = flow[c] + theta
         flow[leave] = 0.0

@@ -8,7 +8,15 @@ import sys
 import pytest
 
 import graphgrav
-from graphgrav import HexRegionSpec, edge_key, gen_cycle, gen_hex_region, gen_tree, interior_edges
+from graphgrav import (
+    HexRegionSpec,
+    edge_key,
+    gen_complete,
+    gen_cycle,
+    gen_hex_region,
+    gen_tree,
+    interior_edges,
+)
 from graphgrav.cli import main
 from graphgrav.graph import graph_to_json
 
@@ -272,6 +280,28 @@ class TestExitCodes:
         init.write_text(json.dumps({"lengths": []}))
         code, _ = run(capsys, "solve-eom", graph, boundary, "--init", str(init))
         assert code == 3
+
+    def test_oversized_tree_is_refused(self, capsys):
+        assert main(["gen", "tree", "--depth", "60"]) == 3
+        assert "TooLarge" in capsys.readouterr().err
+
+
+def test_unknown_region_vertex_error_is_identical_across_hash_seeds(tmp_path):
+    graph = tmp_path / "k5.json"
+    graph.write_text(json.dumps(graph_to_json(gen_complete(5))))
+    region = tmp_path / "region.json"
+    region.write_text(json.dumps({"sigma": ["3", "30", "20", "10", "40"]}))
+    argv = ["action", str(graph), "--variant", "ghy", "--region", str(region)]
+    src = os.path.dirname(os.path.dirname(graphgrav.__file__))
+    errs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+        cmd = [sys.executable, "-m", "graphgrav.cli", *argv]
+        proc = subprocess.run(cmd, env=env, capture_output=True)
+        assert proc.returncode == 3
+        errs.append(proc.stderr)
+    assert errs[0] == errs[1]
+    assert b"'30'" in errs[0]
 
 
 class TestReproduceCommand:

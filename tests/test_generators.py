@@ -64,6 +64,13 @@ class TestTrees:
         with pytest.raises(BadParams):
             gen_tree(2, 0)
 
+    def test_size_cap(self):
+        # about 3^60 vertices: the count is checked before anything is built
+        with pytest.raises(TooLarge):
+            gen_tree(2, 60)
+        with pytest.raises(TooLarge):
+            half_half_setting(3, 60, 2.0)
+
 
 class TestCompleteAndCycle:
     def test_complete_counts(self):

@@ -26,7 +26,7 @@ from graphgrav import (
     verify_solution,
 )
 from graphgrav.errors import BadParams, NoFreeEdges, NotATree
-from graphgrav.search import _tree_system
+from graphgrav.search import LOG_LENGTH_HI, LOG_LENGTH_LO, _tree_system
 
 
 def tree_depths(g, root="0"):
@@ -212,13 +212,18 @@ class TestExtremize:
         res = extremize_action(gen_cycle(4), None, "min", restarts=6, seed=3)
         assert res.objective <= 6.0 - 2.0 * math.sqrt(2.0) + 1e-6
 
-    def test_square_maximum_approaches_supremum(self):
-        # the supremum 5 is approached, never attained: one edge collapses
-        # while two others blow up with a unit offset
-        res = extremize_action(gen_cycle(4), None, "max", restarts=6, seed=2)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_square_maximum_approaches_supremum(self, seed):
+        # the supremum 5 is approached, never attained: one geodesic collapses
+        # while two others blow up with a unit offset.  The relation is read on
+        # geodesic lengths: an edge longer than its detour does not enter the
+        # action, so its raw length is wherever the search left it.
+        res = extremize_action(gen_cycle(4), None, "max", restarts=6, seed=seed)
         assert 4.9 <= res.objective < 5.0
-        vals = sorted(res.setting.lengths.values())
-        assert vals[3] - vals[2] == pytest.approx(vals[1], rel=1e-2)
+        g = gen_cycle(4).with_lengths(res.setting.lengths)
+        geo = GeodesicTable(g)
+        d = sorted(geo.dist(u, v) for u, v in g.edges)
+        assert d[3] - d[2] == pytest.approx(d[1], rel=1e-2)
 
     def test_objective_is_reproducible(self):
         from graphgrav import GeodesicTable, action_plain, gen_complete
@@ -229,16 +234,38 @@ class TestExtremize:
         assert again == pytest.approx(res.objective, abs=1e-8)
 
     @pytest.mark.parametrize(
-        "g, seed, want",
-        [(gen_complete(3), 0, False), (gen_cycle(4), 1, True)],
+        "g, seeds",
+        [(gen_complete(3), [0]), (gen_cycle(4), range(10))],
         ids=["triangle", "square"],
     )
-    def test_box_flag_reads_the_optimizer_point(self, g, seed, want):
+    def test_box_flag_reads_the_optimizer_point(self, g, seeds, monkeypatch):
         # the flag is read at the Nelder-Mead point, before the gauge shift,
-        # which moves the triangle's longest length onto the box edge and the
-        # square's shortest off it
-        res = extremize_action(g, None, "max", restarts=1, seed=seed)
-        assert res.at_box_boundary is want
+        # which can move a length onto the box edge (the triangle's longest,
+        # seed 0) or off it
+        from scipy import optimize
+
+        minimize = optimize.minimize
+        points = []
+
+        def recording(*args, **kwargs):
+            out = minimize(*args, **kwargs)
+            points.append(out.x)
+            return out
+
+        monkeypatch.setattr(optimize, "minimize", recording)
+        flags = set()
+        for seed in seeds:
+            points.clear()
+            res = extremize_action(g, None, "max", restarts=1, seed=seed)
+            (x,) = points
+            on_box = bool(np.any(x < LOG_LENGTH_LO + 1e-6) or np.any(x > LOG_LENGTH_HI - 1e-6))
+            assert res.at_box_boundary is on_box
+            flags.add(on_box)
+        if g.num_edges == 3:
+            assert flags == {False}
+            assert max(res.setting.lengths.values()) == pytest.approx(1e3)
+        else:
+            assert flags == {True, False}
 
     def test_gauge_shift_stays_in_box(self):
         # a shift to geometric mean 1 would stretch the longest edge to 5.6e3

@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from graphgrav import (
@@ -12,6 +15,7 @@ from graphgrav import (
     wasserstein_oracle,
 )
 from graphgrav.errors import TOutOfRange, UnbalancedMass
+from graphgrav.transport import _least_cost_start, _transportation_simplex
 
 from conftest import random_connected_graph
 
@@ -141,6 +145,57 @@ class TestWasserstein:
             cu, du = local_sums(g, geo, u)
             cv, dv = local_sums(g, geo, v)
             assert cost >= geo.dist(u, v) - t * (cu / du + cv / dv) - 1e-9
+
+
+class TestExactSimplex:
+    """Fraction masses and small integer costs (many ties): the start and
+    every pivot stay exact, so feasibility and optimality hold exactly."""
+
+    @staticmethod
+    def _masses(rng, k):
+        w = [rng.randint(0, 4) for _ in range(k)]
+        w[rng.randrange(k)] += 1
+        return [Fraction(x, sum(w)) for x in w]
+
+    @staticmethod
+    def _assert_marginals(flow, supply, demand):
+        for i, a in enumerate(supply):
+            assert sum(f for (r, _), f in flow.items() if r == i) == a
+        for j, b in enumerate(demand):
+            assert sum(f for (_, c), f in flow.items() if c == j) == b
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (1, 4), (4, 1), (2, 3), (5, 5), (6, 4)])
+    def test_fraction_problems(self, m, n):
+        rng = random.Random(f"exact:{m}x{n}")
+        for _ in range(25):
+            supply = self._masses(rng, m)
+            demand = self._masses(rng, n)
+            cost = [[rng.randint(0, 5) for _ in range(n)] for _ in range(m)]
+
+            start, basis, _ = _least_cost_start(supply, demand, cost)
+            assert len(basis) == len(set(basis)) == m + n - 1
+            root = list(range(m + n))  # rows 0..m-1, columns m..m+n-1
+
+            def find(x):
+                while root[x] != x:
+                    x = root[x]
+                return x
+
+            for i, j in basis:  # m + n - 1 cells and no cycle: a spanning tree
+                a, b = find(i), find(m + j)
+                assert a != b
+                root[a] = b
+            self._assert_marginals(start, supply, demand)
+
+            flow, u, v = _transportation_simplex(supply, demand, cost)
+            assert all(isinstance(f, Fraction) for f in flow.values() if f)
+            self._assert_marginals(flow, supply, demand)
+            for i in range(m):
+                for j in range(n):
+                    reduced = cost[i][j] - u[i] - v[j]
+                    assert reduced >= 0
+                    if flow.get((i, j)):
+                        assert reduced == 0
 
 
 class TestOracle:
