@@ -32,7 +32,6 @@ from .dynamics import (
     setting_from_pairs,
     setting_to_json,
     t1_next_ratios,
-    teom_residual,
     two_progression_x,
     verify_solution,
 )

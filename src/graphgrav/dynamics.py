@@ -5,6 +5,11 @@ quantity here is a rational function of the edge lengths; no transport solve
 is involved.  Leaves of a finite tree are read as the cut of a deeper tree:
 residuals are only defined on interior edges, whose endpoints both have their
 full neighborhoods present.
+
+The tree equation of motion is computed in one place, ``_tree_system``, over
+edge and half-edge index arrays: ``search.newton_solve_teom`` drives it over
+the free lengths, and ``verify_solution`` evaluates it with every edge fixed.
+``nogo_indicator`` reads its vertex sums from the same helper.
 """
 
 from __future__ import annotations
@@ -12,13 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     BadParams,
-    BoundaryEdge,
     NegativeDiscriminant,
     NonpositiveLength,
     NonpositiveScale,
-    NotAnEdge,
     NotATree,
     QNotOdd,
     RatioNotGreaterThanOne,
@@ -71,25 +76,6 @@ def _require_tree(g):
         raise NotATree("operation is defined on trees only")
 
 
-def _length_of(g, setting, u, v):
-    key = edge_key(u, v)
-    if setting is None:
-        return g.length(u, v)
-    if key not in setting:
-        raise BadParams(f"setting does not cover edge {key!r}")
-    return setting[key]
-
-
-def _vertex_sums(g, setting, i):
-    inv = 0.0
-    inv2 = 0.0
-    for w in g.neighbors(i):
-        ell = _length_of(g, setting, i, w)
-        inv += 1.0 / ell
-        inv2 += 1.0 / (ell * ell)
-    return inv, inv2
-
-
 def interior_edges(g: WeightedGraph):
     """Edges whose endpoints both have their full neighborhoods present,
     i.e. neither endpoint is a leaf of the truncation."""
@@ -98,36 +84,83 @@ def interior_edges(g: WeightedGraph):
     )
 
 
-def teom_residual(g: WeightedGraph, setting: Setting, i, j) -> float:
-    """Residual of the tree equation of motion at the edge between i and j:
+def _vertex_ratios(g, vertices, index):
+    """(rho, d) at ``vertices`` as a function of the length array, whose entry
+    index[key] is the length of edge key: c and d sum 1/l and 1/l^2 over the
+    half-edges, in ``g.neighbors`` order, and rho = c/d.  np.bincount adds in
+    input order, so these are the floats of a scalar loop over neighbours."""
+    half_edges = []
+    for k, v in enumerate(vertices):
+        for w in g.neighbors(v):
+            key = edge_key(v, w)
+            if key not in index:
+                raise BadParams(f"setting does not cover edge {key!r}")
+            half_edges.append((k, index[key]))
+    at, col = np.array(half_edges, dtype=int).reshape(-1, 2).T
 
-        (c_i^2/d_i^2 + c_j^2/d_j^2) / P - c_i/d_i - c_j/d_j
+    def ratios(ell):
+        d = np.bincount(at, (1.0 / (ell * ell))[col], len(vertices))
+        return np.bincount(at, (1.0 / ell)[col], len(vertices)) / d, d
+
+    return ratios
+
+
+def _tree_system(g, interior, free, fixed):
+    """The tree equation of motion at every interior edge (i, j),
+
+        (rho_i^2 + rho_j^2) / P - rho_i - rho_j,   rho = c/d,
+
+    and its exact Jacobian, as functions of the free log-lengths x.
+
+    Lengths sit in one array, the ``fixed`` map's first and the free edges'
+    after them; residual row r belongs to ``interior[r]``.  Vertex sums are
+    taken only at the ends of interior edges, whose degrees exceed 1.
     """
-    _require_tree(g)
-    if not g.has_edge(i, j):
-        raise NotAnEdge(f"({i!r}, {j!r}) is not an edge")
-    if g.degree(i) <= 1 or g.degree(j) <= 1:
-        raise BoundaryEdge(
-            f"edge ({i!r}, {j!r}) touches a truncation leaf; residual undefined"
-        )
-    p = _length_of(g, setting, i, j)
-    ci, di = _vertex_sums(g, setting, i)
-    cj, dj = _vertex_sums(g, setting, j)
-    ri = ci / di
-    rj = cj / dj
-    return (ri * ri + rj * rj) / p - ri - rj
+    index = {key: k for k, key in enumerate([*fixed, *free])}
+    ends = list(dict.fromkeys(v for key in interior for v in key))
+    ratios = _vertex_ratios(g, ends, index)
+    slot = {v: k for k, v in enumerate(ends)}
+    pair = np.array([[slot[key[s]] for key in interior] for s in (0, 1)], dtype=int)
+    rows = np.array([index[key] for key in interior], dtype=int)
+    fixed_lengths = np.array(list(fixed.values()), dtype=float)
+
+    def residual(x):
+        ell = np.concatenate([fixed_lengths, np.exp(x)])
+        ri, rj = ratios(ell)[0][pair]
+        return (ri * ri + rj * rj) / ell[rows] - ri - rj
+
+    # Jacobian entries (row, w, col): free edge col meets the row's edge at its
+    # end w; built from the free edges, so an all-fixed system builds none
+    row_of = {key: r for r, key in enumerate(interior)}
+    entries = [
+        (row_of[k], slot[w], col)
+        for col, key in enumerate(free) for w in key
+        for k in (edge_key(w, u) for u in g.neighbors(w)) if k in row_of
+    ]
+    e_row, e_vertex, e_col = np.array(entries, dtype=int).reshape(-1, 3).T
+    e_edge, e_free = rows[e_row], len(fixed) + e_col
+    shape = (len(interior), len(free))
+
+    def jacobian(x):
+        # d rho_w/d x_f = (2 rho_w/l_f - 1)/(l_f d_w); a free row's own P splits over its ends
+        ell = np.concatenate([fixed_lengths, np.exp(x)])
+        rho, d = ratios(ell)
+        p, ell_f, rho_w = ell[e_edge], ell[e_free], rho[e_vertex]
+        drho = (2.0 * rho_w / ell_f - 1.0) / (ell_f * d[e_vertex])
+        values = (2.0 * rho_w / p - 1.0) * drho - (e_edge == e_free) * rho_w * rho_w / p
+        return np.bincount(e_row * shape[1] + e_col, values, shape[0] * shape[1]).reshape(shape)
+
+    return residual, jacobian
 
 
 def verify_solution(g: WeightedGraph, setting: Setting, tol: float = 1e-9) -> EomReport:
     """Residual of every interior edge; a solution keeps them all below tol."""
     _require_tree(g)
-    residuals = {}
-    worst = 0.0
-    for u, v in interior_edges(g):
-        r = teom_residual(g, setting, u, v)
-        residuals[edge_key(u, v)] = r
-        worst = max(worst, abs(r))
-    return EomReport(residuals=residuals, max_abs_residual=worst, is_solution=worst < tol)
+    interior = interior_edges(g)
+    residual, _ = _tree_system(g, interior, (), setting.lengths)
+    values = residual(np.zeros(0)).tolist()
+    worst = max(map(abs, values), default=0.0)
+    return EomReport(dict(zip(interior, values)), worst, worst < tol)
 
 
 def scale_setting(setting: Setting, lam: float) -> Setting:
@@ -150,13 +183,15 @@ def nogo_indicator(g: WeightedGraph, region: Region, setting: Setting) -> float:
     compatible with the given boundary-incident lengths."""
     _require_tree(g)
     sigma = region.vertices
+    boundary = sorted(region.boundary_vertices, key=repr)
+    lengths = setting.lengths
+    ratios = _vertex_ratios(g, boundary, {key: k for k, key in enumerate(lengths)})
+    rho, _ = ratios(np.array(list(lengths.values()), dtype=float))
     total = 0.0
-    for i in sorted(region.boundary_vertices, key=repr):
-        ci, di = _vertex_sums(g, setting, i)
-        ratio = ci / di
+    for i, ratio in zip(boundary, rho.tolist()):
         for j in g.neighbors(i):
             if j in sigma:
-                total += ratio / _length_of(g, setting, i, j) - 1.0
+                total += ratio / lengths[edge_key(i, j)] - 1.0
     return total
 
 

@@ -69,10 +69,6 @@ class NotATree(GraphGravError):
     pass
 
 
-class BoundaryEdge(GraphGravError):
-    pass
-
-
 class RatioNotGreaterThanOne(GraphGravError):
     pass
 

@@ -1,5 +1,8 @@
 """Damped Newton with the exact Jacobian for the tree equations of motion, and
 Nelder-Mead extremal-action search, whose scipy.optimize loads only when it runs.
+
+The tree system itself, residual and Jacobian, lives in ``dynamics``; Newton
+here only drives it, inside the log-length box [1e-6, 1e3].
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import action_plain
-from .dynamics import Setting, interior_edges, is_tree
+from .dynamics import Setting, _tree_system, interior_edges, is_tree
 from .errors import BadParams, NoFreeEdges, NotATree, SingularJacobian
 from .graph import GeodesicTable, WeightedGraph, edge_key
 
@@ -95,58 +98,16 @@ def newton_solve_teom(
     )
 
 
-def _tree_system(g, interior, free, fixed):
-    """The residual of every interior edge and its exact Jacobian, as
-    functions of the free log-lengths; the residual is None outside the box.
-
-    Edge k joins vertices ends[:, k], fixed edges first and free ones after
-    them; residual row r belongs to edge rows[r], the r-th interior edge.
-    """
-    vertex = {v: k for k, v in enumerate(g.vertices)}
-    index = {key: k for k, key in enumerate([*fixed, *free])}
-    ends = np.array([[vertex[key[s]] for key in index] for s in (0, 1)], dtype=int)
-    rows = np.array([index[key] for key in interior], dtype=int)
-    fixed_lengths = np.array(list(fixed.values()), dtype=float)
-    shape = (len(interior), len(free))
-    col_of = {key: col for col, key in enumerate(free)}
-    # Jacobian entries (row, w, col): free edge col meets the row's edge at its endpoint w
-    entries = [
-        (r, vertex[w], col_of[k])
-        for r, key in enumerate(interior) for w in key
-        for k in (edge_key(w, u) for u in g.neighbors(w)) if k in col_of
-    ]
-    e_row, e_vertex, e_col = np.array(entries, dtype=int).reshape(-1, 3).T
-    e_edge, e_free = rows[e_row], len(fixed) + e_col
-
-    def sums(x):
-        ell = np.concatenate([fixed_lengths, np.exp(x)])
-        inv = np.tile(1.0 / ell, 2)
-        d = np.bincount(ends.ravel(), inv * inv, len(vertex))
-        return ell, d, np.bincount(ends.ravel(), inv, len(vertex)) / d
-
-    def residual(x):
-        if x.size and (np.min(x) < LOG_LENGTH_LO or np.max(x) > LOG_LENGTH_HI):
-            return None
-        ell, _, rho = sums(x)
-        ri, rj = rho[ends[:, rows]]
-        return (ri * ri + rj * rj) / ell[rows] - ri - rj
-
-    def jacobian(x):
-        # d rho_w/d x_f = (2 rho_w/l_f - 1)/(l_f d_w); a free row's own P splits over its ends
-        ell, d, rho = sums(x)
-        p, ell_f, rho_w = ell[e_edge], ell[e_free], rho[e_vertex]
-        drho = (2.0 * rho_w / ell_f - 1.0) / (ell_f * d[e_vertex])
-        values = (2.0 * rho_w / p - 1.0) * drho - (e_edge == e_free) * rho_w * rho_w / p
-        return np.bincount(e_row * shape[1] + e_col, values, shape[0] * shape[1]).reshape(shape)
-
-    return residual, jacobian
+def _outside_box(x):
+    return x.size and (np.min(x) < LOG_LENGTH_LO or np.max(x) > LOG_LENGTH_HI)
 
 
 def _newton_run(residual, jacobian, x, tol, max_iter):
-    """One damped Newton descent; returns (x, max_abs_residual, converged, iters)."""
-    res = residual(x)
-    if res is None:
+    """One damped Newton descent; returns (x, max_abs_residual, converged, iters).
+    Every iterate stays inside the box; a step that leaves it is damped."""
+    if _outside_box(x):
         raise BadParams("initial free lengths must lie within [1e-6, 1e3]")
+    res = residual(x)
     iterations = 0
     converged = bool(np.max(np.abs(res), initial=0.0) < tol)
     while not converged and iterations < max_iter and x.size:
@@ -169,7 +130,7 @@ def _newton_run(residual, jacobian, x, tol, max_iter):
         improved = False
         for _ in range(MAX_DAMPINGS):
             trial = x + lam * step
-            trial_res = residual(trial)
+            trial_res = None if _outside_box(trial) else residual(trial)
             if trial_res is not None and float(np.linalg.norm(trial_res)) < norm0:
                 x, res = trial, trial_res
                 improved = True

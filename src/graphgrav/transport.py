@@ -199,7 +199,7 @@ def _basis_duals(basis, cost, m, n):
     for (i, j) in basis:
         rows[i].append(j)
         cols[j].append(i)
-    u[0] = 0.0
+    u[0] = 0 * abs(cost[0][0])  # a zero of the costs' own type
     stack = [("r", 0)]
     while stack:
         kind, k = stack.pop()

@@ -15,7 +15,9 @@ from graphgrav import (
     gen_cycle,
     gen_hex_region,
     gen_tree,
+    half_half_setting,
     interior_edges,
+    setting_to_json,
 )
 from graphgrav.cli import main
 from graphgrav.graph import graph_to_json
@@ -222,6 +224,13 @@ def _tree_boundary_files(tmp_path):
     return [str(tmp_path / "tree.json"), str(tmp_path / "boundary.json"), "--restarts", "2"]
 
 
+def _half_half_files(tmp_path):
+    setting = half_half_setting(3, 3, 2.0)
+    (tmp_path / "tree.json").write_text(json.dumps(graph_to_json(gen_tree(3, 3))))
+    (tmp_path / "setting.json").write_text(json.dumps(setting_to_json(setting)))
+    return [str(tmp_path / "tree.json"), str(tmp_path / "setting.json")]
+
+
 def _c4_file(tmp_path):
     (tmp_path / "c4.json").write_text(json.dumps(graph_to_json(gen_cycle(4))))
     return [str(tmp_path / "c4.json"), "--objective", "min", "--restarts", "1"]
@@ -233,10 +242,11 @@ def _c4_file(tmp_path):
         ("action", _hex_file, []),
         ("curvature", _hex_file, []),
         ("curvature", _hex_file, ["--t", "0.3"]),
+        ("verify-eom", _half_half_files, []),
         ("solve-eom", _tree_boundary_files, []),
         ("search", _c4_file, []),
     ],
-    ids=["action", "curvature", "curvature-t", "solve-eom", "search"],
+    ids=["action", "curvature", "curvature-t", "verify-eom", "solve-eom", "search"],
 )
 def test_output_is_identical_across_hash_seeds(tmp_path, command, inputs, extra):
     # which search answers a geodesic query depends on the order of earlier
@@ -253,6 +263,8 @@ def test_output_is_identical_across_hash_seeds(tmp_path, command, inputs, extra)
     if command in ("action", "curvature"):
         with open(argv[1]) as fh:
             assert len(doc["edges"]) == len(json.load(fh)["edges"])
+    elif command == "verify-eom":
+        assert doc["is_solution"] and doc["residuals"]
     else:
         assert doc["setting"]["lengths"]
 

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,26 +15,45 @@ from graphgrav import (
     geometric_half_half_stats,
     half_half_setting,
     interior_edges,
+    newton_solve_teom,
     nogo_indicator,
     scale_setting,
     setting_from_json,
     setting_to_json,
     t1_next_ratios,
     t1_setting,
-    teom_residual,
     two_progression_x,
     valid_t1_chain,
     verify_solution,
 )
 from graphgrav.dynamics import is_tree
 from graphgrav.errors import (
-    BoundaryEdge,
+    BadParams,
     NegativeDiscriminant,
     NonpositiveScale,
     NotATree,
     QNotOdd,
     RatioNotGreaterThanOne,
 )
+
+from conftest import nogo_sum, teom_residual
+
+
+def random_tree_setting(q, depth, seed, lo=1e-8, hi=1e8):
+    g = gen_tree(q, depth)
+    rng = random.Random(seed)
+    span = (math.log(lo), math.log(hi))
+    return g, rng, Setting({key: math.exp(rng.uniform(*span)) for key in g.edges})
+
+
+def random_region(g, rng):
+    """A ball of random radius around a random vertex."""
+    ball = {rng.choice(g.vertices)}
+    frontier = list(ball)
+    for _ in range(rng.randint(1, 3)):
+        frontier = [w for v in frontier for w in g.neighbors(v) if w not in ball]
+        ball.update(frontier)
+    return extract_region(g, sorted(ball))
 
 
 class TestResiduals:
@@ -64,14 +84,18 @@ class TestResiduals:
         lengths[keys[rng.randrange(len(keys))]] = 1.1
         assert not verify_solution(g, Setting(lengths)).is_solution
 
-    def test_boundary_edge_rejected(self):
+    def test_boundary_edges_have_no_residual(self):
         g = gen_tree(2, 2)
-        s = constant_setting(g, 1.0)
-        leafward = next(
-            (u, v) for u, v in g.edges if g.degree(u) == 1 or g.degree(v) == 1
-        )
-        with pytest.raises(BoundaryEdge):
-            teom_residual(g, s, *leafward)
+        rep = verify_solution(g, constant_setting(g, 1.0))
+        assert list(rep.residuals) == list(interior_edges(g))
+        assert all(g.degree(u) > 1 and g.degree(v) > 1 for u, v in rep.residuals)
+
+    def test_missing_length_rejected(self):
+        g = gen_tree(2, 2)
+        lengths = constant_setting(g, 1.0).lengths
+        del lengths[next(iter(interior_edges(g)))]
+        with pytest.raises(BadParams, match="does not cover edge"):
+            verify_solution(g, Setting(lengths))
 
     def test_non_tree_rejected(self):
         g = gen_complete(3)
@@ -93,6 +117,60 @@ class TestResiduals:
             lengths[target] = max(neighbor_vals) * 1.5
             rep = verify_solution(g, Setting(lengths))
             assert abs(rep.residuals[target]) > 1e-12
+
+
+class TestScalarOracle:
+    """The array system against the scalar formula, bit for bit, on lengths
+    far outside Newton's box: both add the same floats in the same order."""
+
+    @given(
+        st.sampled_from([1, 2, 3]),
+        st.integers(min_value=2, max_value=5),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_residuals_equal_oracle(self, q, depth, seed):
+        g, _, s = random_tree_setting(q, depth, seed)
+        rep = verify_solution(g, s)
+        want = {(u, v): teom_residual(g, s, u, v) for u, v in interior_edges(g)}
+        assert rep.residuals == want
+        assert rep.max_abs_residual == max(abs(r) for r in want.values())
+
+    @given(
+        st.sampled_from([1, 2, 3]),
+        st.integers(min_value=2, max_value=5),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_nogo_equals_oracle(self, q, depth, seed):
+        g, rng, s = random_tree_setting(q, depth, seed)
+        region = random_region(g, rng)
+        # boundary data: only the lengths at the boundary vertices are given
+        data = Setting(
+            {key: ell for key, ell in s.lengths.items() if region.boundary_vertices & set(key)}
+        )
+        assert nogo_indicator(g, region, data) == nogo_sum(g, region, s)
+
+
+class TestDegenerate:
+    """Trees without an interior edge: nothing to evaluate or solve."""
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_star(self, q):
+        g, _, s = random_tree_setting(q, 1, q, lo=0.5, hi=2.0)
+        assert not interior_edges(g)
+        rep = verify_solution(g, s)
+        assert (rep.residuals, rep.max_abs_residual, rep.is_solution) == ({}, 0.0, True)
+        leaf = next(v for v in g.vertices if g.degree(v) == 1)
+        region = extract_region(g, [v for v in g.vertices if v != leaf])
+        assert nogo_indicator(g, region, s) == nogo_sum(g, region, s) != 0.0
+        res = newton_solve_teom(g, s, Setting({}))
+        assert (res.converged, res.iterations, res.restarts_used) == (True, 0, 0)
+        assert res.setting.lengths == s.lengths
+
+    def test_single_vertex(self):
+        rep = verify_solution(build_graph(["a"], []), Setting({}))
+        assert (rep.residuals, rep.max_abs_residual, rep.is_solution) == ({}, 0.0, True)
 
 
 class TestScaling:

@@ -22,11 +22,13 @@ from graphgrav import (
     interior_edges,
     newton_solve_teom,
     nogo_indicator,
-    teom_residual,
     verify_solution,
 )
+from graphgrav.dynamics import _tree_system
 from graphgrav.errors import BadParams, NoFreeEdges, NotATree
-from graphgrav.search import LOG_LENGTH_HI, LOG_LENGTH_LO, _tree_system
+from graphgrav.search import LOG_LENGTH_HI, LOG_LENGTH_LO
+
+from conftest import teom_residual
 
 
 def tree_depths(g, root="0"):
@@ -192,6 +194,14 @@ class TestNewton:
         g = gen_complete(4)
         with pytest.raises(NotATree):
             newton_solve_teom(g, Setting({}), Setting({}))
+
+    @pytest.mark.parametrize("start", [1e-7, 2e3])
+    def test_start_outside_box_rejected(self, start):
+        g = gen_tree(2, 3)
+        boundary, interior = leaf_boundary(g)
+        init = Setting({key: start for key in interior})
+        with pytest.raises(BadParams, match="within"):
+            newton_solve_teom(g, boundary, init)
 
 
 class TestExtremize:

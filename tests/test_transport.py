@@ -148,8 +148,9 @@ class TestWasserstein:
 
 
 class TestExactSimplex:
-    """Fraction masses and small integer costs (many ties): the start and
-    every pivot stay exact, so feasibility and optimality hold exactly."""
+    """Fraction masses with small integer costs (many ties) or Fraction
+    costs: the start, every pivot and the potentials stay exact, so
+    feasibility and optimality hold exactly."""
 
     @staticmethod
     def _masses(rng, k):
@@ -163,6 +164,18 @@ class TestExactSimplex:
             assert sum(f for (r, _), f in flow.items() if r == i) == a
         for j, b in enumerate(demand):
             assert sum(f for (_, c), f in flow.items() if c == j) == b
+
+    def _assert_optimal(self, supply, demand, cost):
+        flow, u, v = _transportation_simplex(supply, demand, cost)
+        assert all(isinstance(f, Fraction) for f in flow.values() if f)
+        self._assert_marginals(flow, supply, demand)
+        for i in range(len(supply)):
+            for j in range(len(demand)):
+                reduced = cost[i][j] - u[i] - v[j]
+                assert reduced >= 0
+                if flow.get((i, j)):
+                    assert reduced == 0
+        return u, v
 
     @pytest.mark.parametrize("m, n", [(1, 1), (1, 4), (4, 1), (2, 3), (5, 5), (6, 4)])
     def test_fraction_problems(self, m, n):
@@ -187,15 +200,20 @@ class TestExactSimplex:
                 root[a] = b
             self._assert_marginals(start, supply, demand)
 
-            flow, u, v = _transportation_simplex(supply, demand, cost)
-            assert all(isinstance(f, Fraction) for f in flow.values() if f)
-            self._assert_marginals(flow, supply, demand)
-            for i in range(m):
-                for j in range(n):
-                    reduced = cost[i][j] - u[i] - v[j]
-                    assert reduced >= 0
-                    if flow.get((i, j)):
-                        assert reduced == 0
+            self._assert_optimal(supply, demand, cost)
+
+    def test_fraction_costs_give_fraction_potentials(self):
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        cost = [[third, Fraction(2, 7)], [Fraction(5, 3), Fraction(0)]]
+        u, v = self._assert_optimal([half, half], [third, 2 * third], cost)
+        assert (u, v) == ([0, Fraction(-2, 7)], [third, Fraction(2, 7)])
+        assert all(isinstance(p, Fraction) for p in u + v)
+        rng = random.Random("exact:fraction-costs")
+        for _ in range(50):
+            m, n = rng.randint(1, 6), rng.randint(1, 6)
+            cost = [[Fraction(rng.randint(0, 40), rng.randint(1, 9)) for _ in range(n)] for _ in range(m)]
+            u, v = self._assert_optimal(self._masses(rng, m), self._masses(rng, n), cost)
+            assert all(isinstance(p, Fraction) for p in u + v)
 
 
 class TestOracle:
