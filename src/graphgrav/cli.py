@@ -22,7 +22,8 @@ import sys
 from . import reproduce as repro
 from .action import action_ghy, action_plain, action_region_plain, ratio_bounds, tree_action_hex
 from .curvature import edge_curvatures, kappa_t
-from .dynamics import Setting, interior_edges, setting_from_json, setting_to_json, verify_solution
+from .dynamics import Setting, interior_edges, setting_from_json, setting_to_json
+from .dynamics import two_progression_x, verify_solution
 from .errors import GraphGravError
 from .generators import (
     HexRegionSpec,
@@ -54,7 +55,8 @@ EXIT_INVARIANT = 3
 
 
 def _emit(doc, out_path):
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    # a non-finite number is an internal error, not output
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
@@ -103,8 +105,10 @@ def cmd_gen(args, inp):
         if args.setting == "half-half":
             setting = half_half_setting(args.q, args.depth, args.ratio)
         elif args.setting == "two-progression":
+            # by default the larger root, the one criterion 9 takes
+            x = max(two_progression_x(args.alpha, args.y)) if args.x is None else args.x
             setting = two_progression_setting(
-                args.q, args.m, args.s, args.alpha, args.x, args.y, args.depth
+                args.q, args.m, args.s, args.alpha, x, args.y, args.depth
             )
     elif args.family == "complete":
         g = gen_complete(args.n)
@@ -293,7 +297,7 @@ def build_parser():
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--s", type=int, default=1)
     p.add_argument("--alpha", type=float, default=0.25)
-    p.add_argument("--x", type=float, default=0.2546185690178954)
+    p.add_argument("--x", type=float, default=None)
     p.add_argument("--y", type=float, default=3.0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_gen)

@@ -153,14 +153,27 @@ def _tree_system(g, interior, free, fixed):
     return residual, jacobian
 
 
+def _unit_scaled(lengths):
+    """(lengths * 2^k, k), k = -round(mean log2 l).  A power of two scales a
+    float exactly, so the residual, of degree 1 in the lengths, is 2^k times
+    its value at the given lengths wherever l*l and 1/(l*l) stay finite there,
+    and finite at every common scale of the lengths; c/(d P) is unchanged."""
+    k = -round(sum(map(math.log2, lengths.values())) / len(lengths)) if lengths else 0
+    return {key: math.ldexp(ell, k) for key, ell in lengths.items()}, k
+
+
 def verify_solution(g: WeightedGraph, setting: Setting, tol: float = 1e-9) -> EomReport:
-    """Residual of every interior edge; a solution keeps them all below tol."""
+    """Residual of every interior edge.  A residual is a length: a solution
+    keeps them all below tol times the power of two nearest the lengths'
+    geometric mean, so it stays a solution under ``scale_setting``."""
     _require_tree(g)
     interior = interior_edges(g)
-    residual, _ = _tree_system(g, interior, (), setting.lengths)
+    lengths, k = _unit_scaled(setting.lengths)
+    residual, _ = _tree_system(g, interior, (), lengths)
     values = residual(np.zeros(0)).tolist()
     worst = max(map(abs, values), default=0.0)
-    return EomReport(dict(zip(interior, values)), worst, worst < tol)
+    residuals = {key: math.ldexp(r, -k) for key, r in zip(interior, values)}
+    return EomReport(residuals, math.ldexp(worst, -k), worst < tol)
 
 
 def scale_setting(setting: Setting, lam: float) -> Setting:
@@ -184,7 +197,7 @@ def nogo_indicator(g: WeightedGraph, region: Region, setting: Setting) -> float:
     _require_tree(g)
     sigma = region.vertices
     boundary = sorted(region.boundary_vertices, key=repr)
-    lengths = setting.lengths
+    lengths, _ = _unit_scaled(setting.lengths)
     ratios = _vertex_ratios(g, boundary, {key: k for k, key in enumerate(lengths)})
     rho, _ = ratios(np.array(list(lengths.values()), dtype=float))
     total = 0.0

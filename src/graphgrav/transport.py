@@ -6,6 +6,11 @@ least-cost basis (the primary path), and a successive-shortest-path min-cost
 flow on the bipartite support graph (the verification oracle).  A third
 formulation moves mass only along graph edges and doubles as the source of
 1-Lipschitz dual potentials.
+
+The simplex knows its basis tree in one place, ``_basis_tree``: each pivot
+builds it and walks it once from row 0, which gives the potentials for
+Bland pricing and each node's parent and depth, from which the entering
+cell's cycle is read.  Costs may be negative.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from .graph import GeodesicTable, WeightedGraph, local_sums
 
 MASS_TOL = 1e-12
 FLOW_TOL = 1e-15
+MAX_PIVOTS = 100000
 
 
 @dataclass(frozen=True)
@@ -191,89 +197,46 @@ def _least_cost_start(supply, demand, cost):
     return flow, basis, scale
 
 
-def _basis_duals(basis, cost, m, n):
-    u = [None] * m
-    v = [None] * n
-    rows = {i: [] for i in range(m)}
-    cols = {j: [] for j in range(n)}
-    for (i, j) in basis:
-        rows[i].append(j)
-        cols[j].append(i)
-    u[0] = 0 * abs(cost[0][0])  # a zero of the costs' own type
-    stack = [("r", 0)]
-    while stack:
-        kind, k = stack.pop()
-        if kind == "r":
-            for j in rows[k]:
-                if v[j] is None:
-                    v[j] = cost[k][j] - u[k]
-                    stack.append(("c", j))
-        else:
-            for i in cols[k]:
-                if u[i] is None:
-                    u[i] = cost[i][k] - v[k]
-                    stack.append(("r", i))
-    return u, v
+def _basis_tree(basis, cost, m, n):
+    """Build the basis tree and walk it once, from row 0.
 
-
-def _basis_cycle(basis, enter):
-    """Alternating cycle created by adding ``enter`` to the basis tree.
-
-    Returns the cycle as a list of cells starting with ``enter``; odd
-    positions give up flow when the entering cell gains it.
+    Nodes are the rows 0..m-1 and the columns m..m+n-1; basic cell (i, j)
+    is the edge between i and m + j.  Returns the potentials, rows first,
+    fixed by pot[0] = 0 and pot[i] + pot[m + j] = cost[i][j] on every basic
+    cell, and each node's depth and its edge up the tree as (parent, cell).
     """
-    ei, ej = enter
-    rows = {}
-    cols = {}
-    for (i, j) in basis:
-        rows.setdefault(i, []).append(j)
-        cols.setdefault(j, []).append(i)
-    # path from column ej back to row ei through the basis tree
-    parent = {("c", ej): None}
-    queue = [("c", ej)]
-    target = ("r", ei)
-    while queue:
-        node = queue.pop()
-        if node == target:
-            break
-        kind, k = node
-        if kind == "c":
-            for i in cols.get(k, ()):
-                nxt = ("r", i)
-                if nxt not in parent:
-                    parent[nxt] = node
-                    queue.append(nxt)
-        else:
-            for j in rows.get(k, ()):
-                nxt = ("c", j)
-                if nxt not in parent:
-                    parent[nxt] = node
-                    queue.append(nxt)
-    # walk back collecting cells
-    cycle = [enter]
-    node = target
-    while parent[node] is not None:
-        kind, k = node
-        pkind, pk = parent[node]
-        cell = (k, pk) if kind == "r" else (pk, k)
-        cycle.append(cell)
-        node = parent[node]
-    return cycle
+    adj = [[] for _ in range(m + n)]
+    for i, j in basis:
+        adj[i].append((m + j, i, j))
+        adj[m + j].append((i, i, j))
+    pot = [None] * (m + n)
+    pot[0] = 0 * abs(cost[0][0])  # a zero of the costs' own type
+    up = [None] * (m + n)
+    depth = [0] * (m + n)
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        for y, i, j in adj[x]:
+            if pot[y] is None:
+                pot[y] = cost[i][j] - pot[x]
+                up[y] = (x, (i, j))
+                depth[y] = depth[x] + 1
+                stack.append(y)
+    return pot, up, depth
 
 
-def _transportation_simplex(supply, demand, cost, max_pivots=100000):
+def _transportation_simplex(supply, demand, cost):
     m, n = len(supply), len(demand)
     flow, basis, scale = _least_cost_start(supply, demand, cost)
     tol = 1e-12 * scale
-    for _ in range(max_pivots):
-        u, v = _basis_duals(basis, cost, m, n)
-        in_basis = set(basis)
+    for _ in range(MAX_PIVOTS):
+        pot, up, depth = _basis_tree(basis, cost, m, n)
+        u, v = pot[:m], pot[m:]
         enter = None
-        # Bland's rule: first improving cell in a fixed scan order
+        # Bland's rule: first improving cell in a fixed scan order; a basic
+        # cell prices at 0 up to rounding, far above -tol, so it never enters
         for i in range(m):
             for j in range(n):
-                if (i, j) in in_basis:
-                    continue
                 if cost[i][j] - u[i] - v[j] < -tol:
                     enter = (i, j)
                     break
@@ -281,7 +244,19 @@ def _transportation_simplex(supply, demand, cost, max_pivots=100000):
                 break
         if enter is None:
             return ({c: flow[c] for c in basis}, u, v)
-        cycle = _basis_cycle(basis, enter)
+        # the entering cell closes a cycle with the tree path from its row
+        # to its column: climb from both ends to their common ancestor;
+        # odd positions of the cycle give up flow
+        a, b = enter[0], m + enter[1]
+        from_row, from_col = [], []
+        while a != b:
+            if depth[a] >= depth[b]:
+                a, cell = up[a]
+                from_row.append(cell)
+            else:
+                b, cell = up[b]
+                from_col.append(cell)
+        cycle = [enter, *from_row, *reversed(from_col)]
         givers = cycle[1::2]
         theta = min(flow[c] for c in givers)
         leave = min((c for c in givers if flow[c] <= theta), key=lambda c: c)
@@ -292,7 +267,6 @@ def _transportation_simplex(supply, demand, cost, max_pivots=100000):
                 flow[c] = max(flow[c] - theta, 0 * theta)  # a zero of the flows' own type
             else:
                 flow[c] = flow[c] + theta
-        flow[leave] = 0.0
         basis[basis.index(leave)] = enter
         del flow[leave]
     raise RuntimeError("transportation simplex failed to terminate")

@@ -56,6 +56,15 @@ def write_path3(tmp_path):
     return str(path)
 
 
+def write_gen_doc(tmp_path, doc):
+    """Split the output of ``gen`` into a graph file and a setting file."""
+    graph_file = tmp_path / "g.json"
+    setting_file = tmp_path / "s.json"
+    graph_file.write_text(json.dumps(doc["graph"]))
+    setting_file.write_text(json.dumps(doc["setting"]))
+    return str(graph_file), str(setting_file)
+
+
 class TestCurvatureCommand:
     def test_triangle_limit(self, tmp_path, capsys):
         code, out = run(capsys, "curvature", write_triangle(tmp_path))
@@ -95,11 +104,7 @@ class TestGenAndVerify:
         )
         assert code == 0
         doc = json.loads(out_path.read_text())
-        graph_file = tmp_path / "g.json"
-        setting_file = tmp_path / "s.json"
-        graph_file.write_text(json.dumps(doc["graph"]))
-        setting_file.write_text(json.dumps(doc["setting"]))
-        code, out = run(capsys, "verify-eom", str(graph_file), str(setting_file))
+        code, out = run(capsys, "verify-eom", *write_gen_doc(tmp_path, doc))
         assert code == 0
         assert json.loads(out)["is_solution"] is True
 
@@ -108,11 +113,7 @@ class TestGenAndVerify:
         run(capsys, "gen", "tree", "--q", "2", "--depth", "2", "--out", str(out_path))
         doc = json.loads(out_path.read_text())
         doc["setting"]["lengths"][0]["len"] = 1.3
-        graph_file = tmp_path / "g.json"
-        setting_file = tmp_path / "s.json"
-        graph_file.write_text(json.dumps(doc["graph"]))
-        setting_file.write_text(json.dumps(doc["setting"]))
-        code, out = run(capsys, "verify-eom", str(graph_file), str(setting_file))
+        code, out = run(capsys, "verify-eom", *write_gen_doc(tmp_path, doc))
         assert code == 1
         assert json.loads(out)["is_solution"] is False
 
@@ -129,6 +130,23 @@ class TestGenAndVerify:
         setting_file.write_text(json.dumps(setting))
         code, _ = run(capsys, "verify-eom", graph_file, str(setting_file))
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--q", "2", "--length", "1e200"],
+            ["--q", "3", "--setting", "two-progression"],
+            ["--q", "3", "--setting", "two-progression", "--alpha", "0.3"],
+            ["--q", "3", "--setting", "two-progression", "--y", "2.5"],
+        ],
+        ids=["constant-1e200", "two-progression", "alpha-0.3", "y-2.5"],
+    )
+    def test_generated_setting_is_a_solution(self, tmp_path, capsys, flags):
+        code, out = run(capsys, "gen", "tree", "--depth", "2", *flags)
+        assert code == 0
+        code, out = run(capsys, "verify-eom", *write_gen_doc(tmp_path, json.loads(out)))
+        assert code == 0
+        assert json.loads(out)["is_solution"] is True
 
     def test_hex_emits_region(self, tmp_path, capsys):
         code, out = run(capsys, "gen", "hex", "--radius", "1")
@@ -279,6 +297,20 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "action_plain", broken)
         with pytest.raises(TypeError, match="internal bug"):
             main(["action", write_triangle(tmp_path)])
+
+    def test_non_finite_output_is_an_internal_error(self, tmp_path, capsys, monkeypatch):
+        import graphgrav.cli as cli
+        from graphgrav.dynamics import EomReport
+
+        def nan_report(g, setting, tol):
+            return EomReport({("0", "1"): math.nan}, math.nan, False)
+
+        monkeypatch.setattr(cli, "verify_solution", nan_report)
+        _, out = run(capsys, "gen", "tree", "--q", "2", "--depth", "2")
+        files = write_gen_doc(tmp_path, json.loads(out))
+        with pytest.raises(ValueError, match="JSON compliant"):
+            main(["verify-eom", *files])
+        assert capsys.readouterr().out == ""
 
     def test_missing_key_is_an_input_error(self, tmp_path, capsys):
         path = tmp_path / "g.json"

@@ -64,6 +64,14 @@ class TestResiduals:
             assert rep.is_solution
             assert rep.max_abs_residual == 0.0
 
+    @pytest.mark.parametrize("length", [1e200, 1e-200])
+    def test_constant_tree_is_solution_at_any_scale(self, length):
+        # l*l overflows at 1e200 and 1/(l*l) at 1e-200
+        g = gen_tree(2, 2)
+        rep = verify_solution(g, constant_setting(g, length))
+        assert rep.is_solution
+        assert rep.max_abs_residual <= 1e-15 * length
+
     def test_alternating_ratios_solve(self):
         g, s = t1_setting([2.0, 3.0, 2.0, 3.0, 3.0, 2.0])
         assert verify_solution(g, s).is_solution
@@ -188,6 +196,22 @@ class TestScaling:
     def test_solutions_stay_solutions(self, lam):
         g, s = t1_setting(valid_t1_chain(2.0, [0, 1, 1, 0, 1]))
         assert verify_solution(g, scale_setting(s, lam)).is_solution
+
+    @given(
+        st.sampled_from([1, 2, 3]),
+        st.integers(min_value=2, max_value=5),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=-500, max_value=500),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_power_of_two_scales_residuals_exactly(self, q, depth, seed, k):
+        g, rng, s = random_tree_setting(q, depth, seed)
+        scaled = Setting({key: math.ldexp(ell, k) for key, ell in s.lengths.items()})
+        rep, rep_k = verify_solution(g, s), verify_solution(g, scaled)
+        assert rep_k.residuals == {key: math.ldexp(r, k) for key, r in rep.residuals.items()}
+        assert rep_k.max_abs_residual == math.ldexp(rep.max_abs_residual, k)
+        region = random_region(g, rng)
+        assert nogo_indicator(g, region, scaled) == nogo_indicator(g, region, s)
 
     def test_rejects_nonpositive(self):
         g = gen_tree(2, 2)

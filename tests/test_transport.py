@@ -15,7 +15,7 @@ from graphgrav import (
     wasserstein_oracle,
 )
 from graphgrav.errors import TOutOfRange, UnbalancedMass
-from graphgrav.transport import _least_cost_start, _transportation_simplex
+from graphgrav.transport import _least_cost_start, _min_cost_flow, _transportation_simplex
 
 from conftest import random_connected_graph
 
@@ -149,8 +149,9 @@ class TestWasserstein:
 
 class TestExactSimplex:
     """Fraction masses with small integer costs (many ties) or Fraction
-    costs: the start, every pivot and the potentials stay exact, so
-    feasibility and optimality hold exactly."""
+    costs, negative ones included: the start, every pivot and the potentials
+    stay exact, so feasibility and optimality hold exactly.  Shapes with one
+    short side give deep, unbalanced basis trees."""
 
     @staticmethod
     def _masses(rng, k):
@@ -177,7 +178,9 @@ class TestExactSimplex:
                     assert reduced == 0
         return u, v
 
-    @pytest.mark.parametrize("m, n", [(1, 1), (1, 4), (4, 1), (2, 3), (5, 5), (6, 4)])
+    @pytest.mark.parametrize(
+        "m, n", [(1, 1), (1, 4), (4, 1), (2, 3), (5, 5), (6, 4), (1, 9), (9, 1), (9, 8)]
+    )
     def test_fraction_problems(self, m, n):
         rng = random.Random(f"exact:{m}x{n}")
         for _ in range(25):
@@ -214,6 +217,33 @@ class TestExactSimplex:
             cost = [[Fraction(rng.randint(0, 40), rng.randint(1, 9)) for _ in range(n)] for _ in range(m)]
             u, v = self._assert_optimal(self._masses(rng, m), self._masses(rng, n), cost)
             assert all(isinstance(p, Fraction) for p in u + v)
+
+    @pytest.mark.parametrize("m, n", [(1, 9), (9, 1), (9, 8), (3, 7)])
+    def test_negative_fraction_costs(self, m, n):
+        rng = random.Random(f"exact:negative:{m}x{n}")
+        for _ in range(25):
+            cost = [[Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(n)] for _ in range(m)]
+            u, v = self._assert_optimal(self._masses(rng, m), self._masses(rng, n), cost)
+            assert all(isinstance(p, Fraction) for p in u + v)
+
+
+def test_negative_float_costs_match_shifted_min_cost_flow():
+    # the flow oracle needs costs >= 0; shifting every cost by s adds s per
+    # unit of mass and leaves the optimal plan unchanged
+    rng = random.Random("simplex:negative-costs")
+    for _ in range(60):
+        m, n = rng.choice([(1, 9), (9, 1), (9, 8), (rng.randint(1, 7), rng.randint(1, 7))])
+        supply = [rng.uniform(0.1, 1.0) for _ in range(m)]
+        demand = [rng.uniform(0.1, 1.0) for _ in range(n)]
+        total = sum(supply)
+        demand = [b * total / sum(demand) for b in demand]
+        cost = [[rng.uniform(-3.0, 5.0) for _ in range(n)] for _ in range(m)]
+        flow, _, _ = _transportation_simplex(supply, demand, cost)
+        simplex_cost = sum(f * cost[i][j] for (i, j), f in flow.items())
+        shift = -min(min(row) for row in cost)
+        arcs = [(i, m + j, cost[i][j] + shift) for i in range(m) for j in range(n)]
+        shifted, _, _ = _min_cost_flow(m + n, arcs, supply + [-b for b in demand])
+        assert simplex_cost == pytest.approx(shifted - shift * total, rel=1e-10)
 
 
 class TestOracle:
