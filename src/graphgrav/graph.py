@@ -162,13 +162,25 @@ def _search(g: WeightedGraph, source, settled):
 
 
 class GeodesicTable:
-    """Shortest-path distances from one paused Dijkstra search per source: a
-    query resumes it only until the target is settled, so it costs time in the
-    ball of radius d(i, j).  Build a new table after `with_lengths`."""
+    """Everything that depends only on the lengths, computed on first use and
+    kept for the life of the table.  Build a new table after `with_lengths`.
+
+    - Distances come from one paused Dijkstra search per source: a query
+      resumes it only until the target is settled, so it costs time in the
+      ball of radius d(i, j).  The source of a pair is the first vertex of
+      its `edge_key`, so a distance is the same float whatever was asked
+      before it.
+    - `walk(i)` holds each vertex's neighbour geodesics and their inverse
+      sums.
+    - `cost_block(sources, sinks)` holds each support cost matrix with its
+      cells in least-cost order.
+    """
 
     def __init__(self, g: WeightedGraph):
         self._g = g
         self._searches = {}  # source -> ({vertex: distance} settled so far, search)
+        self._walks = {}  # vertex -> (sum 1/P, sum 1/P^2, ((neighbour, P), ...))
+        self._blocks = {}  # (sources, sinks) -> (cost matrix, cells_by_cost of it)
 
     def row(self, source):
         """Distances from ``source`` to every vertex."""
@@ -184,17 +196,47 @@ class GeodesicTable:
             raise UnknownVertex(f"unknown vertex in pair ({i!r}, {j!r})")
         if i == j:
             return 0.0
-        if j in self._searches:  # the source fixes the float: j's search, else i's
-            i, j = j, i
+        i, j = edge_key(i, j)  # one source per pair fixes the float
         settled, search = self._searches.get(i) or self._dijkstra(i)
         while j not in settled:
             next(search)
         return settled[j]
 
+    def walk(self, i):
+        """(sum of 1/P, sum of 1/P^2, ((w, P), ...)) over the neighbours w of
+        i in ``g.neighbors`` order, where P is the geodesic distance from i
+        to w (at most the direct edge length)."""
+        walk = self._walks.get(i)
+        if walk is None:
+            pairs = tuple((w, self.dist(i, w)) for w in self._g.neighbors(i))
+            inv = 0.0
+            inv2 = 0.0
+            for _, p in pairs:
+                inv += 1.0 / p
+                inv2 += 1.0 / (p * p)
+            walk = self._walks[i] = inv, inv2, pairs
+        return walk
+
+    def cost_block(self, sources, sinks):
+        """Geodesic cost matrix between two tuples of vertices, and its cells
+        from `cells_by_cost`."""
+        block = self._blocks.get((sources, sinks))
+        if block is None:
+            cost = tuple(tuple(self.dist(u, v) for v in sinks) for u in sources)
+            block = self._blocks[sources, sinks] = cost, cells_by_cost(cost)
+        return block
+
     def _dijkstra(self, source):
         settled = {}
         self._searches[source] = settled, _search(self._g, source, settled)
         return self._searches[source]
+
+
+def cells_by_cost(cost):
+    """Cells of a cost matrix as (cost, i, j), cheapest first, ties broken by
+    row and then column: the order of the transportation simplex's
+    least-cost start."""
+    return tuple(sorted((c, i, j) for i, row in enumerate(cost) for j, c in enumerate(row)))
 
 
 def local_sums(g: WeightedGraph, geo: GeodesicTable, i):
@@ -203,12 +245,7 @@ def local_sums(g: WeightedGraph, geo: GeodesicTable, i):
     Returns (sum of 1/P, sum of 1/P^2) over neighbors of i, where P is the
     geodesic distance from i to the neighbor (at most the direct edge length).
     """
-    inv = 0.0
-    inv2 = 0.0
-    for w in g.neighbors(i):
-        p = geo.dist(i, w)
-        inv += 1.0 / p
-        inv2 += 1.0 / (p * p)
+    inv, inv2, _ = geo.walk(i)
     return inv, inv2
 
 

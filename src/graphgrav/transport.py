@@ -7,6 +7,11 @@ flow on the bipartite support graph (the verification oracle).  A third
 formulation moves mass only along graph edges and doubles as the source of
 1-Lipschitz dual potentials.
 
+The primary path reads each neighbour walk, and each support cost matrix
+with its least-cost cell order, from the geodesic table, which computes
+them once: supports and costs do not depend on t, so the solves of one
+edge's limit share one cost block.
+
 The simplex knows its basis tree in one place, ``_basis_tree``: each pivot
 builds it and walks it once from row 0, which gives the potentials for
 Bland pricing and each node's parent and depth, from which the entering
@@ -19,7 +24,7 @@ import heapq
 from dataclasses import dataclass, field
 
 from .errors import TOutOfRange, UnbalancedMass, UnknownVertex
-from .graph import GeodesicTable, WeightedGraph, local_sums
+from .graph import GeodesicTable, WeightedGraph
 
 MASS_TOL = 1e-12
 FLOW_TOL = 1e-15
@@ -69,10 +74,9 @@ def neighbor_distribution(g: WeightedGraph, geo: GeodesicTable, i, t: float) -> 
     proportionally to the inverse squared geodesic length."""
     if not 0.0 < t < 1.0:
         raise TOutOfRange(f"t must lie in (0, 1), got {t}")
-    _, inv2 = local_sums(g, geo, i)
+    _, inv2, pairs = geo.walk(i)
     mass = {i: 1.0 - t}
-    for w in g.neighbors(i):
-        p = geo.dist(i, w)
+    for w, p in pairs:
         mass[w] = mass.get(w, 0.0) + t / (p * p) / inv2
     return Distribution(mass)
 
@@ -83,7 +87,8 @@ def wasserstein(g: WeightedGraph, geo: GeodesicTable, mu: Distribution, nu: Dist
     Solved by a dense transportation simplex on the supports, started from
     a least-cost basis (cheapest cells first, so mass shared by mu and nu
     mostly stays put); Bland's rule resolves degenerate pivots so
-    termination is guaranteed.
+    termination is guaranteed.  The cost matrix and its cell order come
+    from ``geo.cost_block``, built once per pair of supports.
     """
     sources = _checked_support(g, mu)
     sinks = _checked_support(g, nu)
@@ -91,8 +96,8 @@ def wasserstein(g: WeightedGraph, geo: GeodesicTable, mu: Distribution, nu: Dist
         raise UnbalancedMass("distributions carry different total mass")
     supply = [mu(v) for v in sources]
     demand = [nu(v) for v in sinks]
-    cost = [[geo.dist(u, v) for v in sinks] for u in sources]
-    flow, u_pot, v_pot = _transportation_simplex(supply, demand, cost)
+    cost, cells = geo.cost_block(sources, sinks)
+    flow, u_pot, v_pot = _transportation_simplex(supply, demand, cost, cells)
     flows = {}
     total = 0.0
     for (a, b), f in flow.items():
@@ -158,19 +163,19 @@ def _checked_support(g, dist):
 # transportation simplex
 
 
-def _least_cost_start(supply, demand, cost):
+def _least_cost_start(supply, demand, cells):
     """Least-cost (matrix-minimum) basic feasible solution.
 
-    Cells are taken cheapest first; each gets as much mass as its open row
-    and column allow and then closes exactly one of them, so the basis is a
-    spanning tree of m + n - 1 cells.  Zero-cost cells come first, so mass
-    shared by two overlapping distributions stays put.  Also returns
-    1 + the largest absolute cost, read off the sorted cells.
+    ``cells`` are the cost matrix's cells in the order of
+    ``graph.cells_by_cost``, cheapest first.  Each gets as much mass as its
+    open row and column allow and then closes exactly one of them, so the
+    basis is a spanning tree of m + n - 1 cells.  Zero-cost cells come
+    first, so mass shared by two overlapping distributions stays put.  Also
+    returns 1 + the largest absolute cost, read off the sorted cells.
     """
     m, n = len(supply), len(demand)
     a = list(supply)
     b = list(demand)
-    cells = sorted((cost[i][j], i, j) for i in range(m) for j in range(n))
     row_open = [True] * m
     col_open = [True] * n
     rows_left, cols_left = m, n
@@ -225,9 +230,9 @@ def _basis_tree(basis, cost, m, n):
     return pot, up, depth
 
 
-def _transportation_simplex(supply, demand, cost):
+def _transportation_simplex(supply, demand, cost, cells):
     m, n = len(supply), len(demand)
-    flow, basis, scale = _least_cost_start(supply, demand, cost)
+    flow, basis, scale = _least_cost_start(supply, demand, cells)
     tol = 1e-12 * scale
     for _ in range(MAX_PIVOTS):
         pot, up, depth = _basis_tree(basis, cost, m, n)

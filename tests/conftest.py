@@ -1,6 +1,8 @@
+import math
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from graphgrav import GeodesicTable, GraphGravError, build_graph, edge_key
 
@@ -18,6 +20,22 @@ def random_connected_graph(rng, n, p=0.45, lo=0.5, hi=2.0):
             return build_graph(verts, edges)
         except GraphGravError:
             continue
+
+
+@st.composite
+def connected_graphs(draw):
+    """Random connected graph on 2 to 9 vertices, a random spanning tree plus
+    random chords, with lengths log-uniform in [1e-6, 1e3]."""
+    n = draw(st.integers(2, 9))
+    verts = [str(k) for k in range(n)]
+    pairs = {(draw(st.integers(0, k - 1)), k) for k in range(1, n)}  # spanning tree
+    index = st.integers(0, n - 1)
+    for a, b in draw(st.lists(st.tuples(index, index), max_size=2 * n)):
+        if a != b:
+            pairs.add((min(a, b), max(a, b)))
+    log_length = st.floats(math.log(1e-6), math.log(1e3))
+    edges = [(verts[a], verts[b], math.exp(draw(log_length))) for a, b in sorted(pairs)]
+    return build_graph(verts, edges)
 
 
 def teom_rho(g, setting, i):

@@ -267,8 +267,7 @@ def _c4_file(tmp_path):
     ids=["action", "curvature", "curvature-t", "verify-eom", "solve-eom", "search"],
 )
 def test_output_is_identical_across_hash_seeds(tmp_path, command, inputs, extra):
-    # which search answers a geodesic query depends on the order of earlier
-    # queries, so any set-ordered iteration would show up in the output
+    # any set-ordered iteration would show up in the output
     argv = [command, *inputs(tmp_path), *extra]
     src = os.path.dirname(os.path.dirname(graphgrav.__file__))
     outs = []
@@ -328,6 +327,16 @@ class TestExitCodes:
     def test_oversized_tree_is_refused(self, capsys):
         assert main(["gen", "tree", "--depth", "60"]) == 3
         assert "TooLarge" in capsys.readouterr().err
+
+
+def test_package_runs_as_a_module(tmp_path, capsys):
+    # ``python -m graphgrav`` needs no installed console script
+    argv = ["bounds", write_triangle(tmp_path)]
+    src = os.path.dirname(os.path.dirname(graphgrav.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "graphgrav", *argv], env=env, capture_output=True)
+    assert proc.returncode == 0
+    assert proc.stdout.decode() == run(capsys, *argv)[1]
 
 
 def test_unknown_region_vertex_error_is_identical_across_hash_seeds(tmp_path):

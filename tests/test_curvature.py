@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
 
 from graphgrav import (
     GeodesicTable,
+    action_plain,
+    edge_curvatures,
     gen_complete,
     gen_hex_region,
     gen_tree,
@@ -14,7 +17,7 @@ from graphgrav import (
 )
 from graphgrav.errors import NotAnEdge, TOutOfRange
 
-from conftest import random_connected_graph
+from conftest import connected_graphs, random_connected_graph
 
 
 class TestKappaT:
@@ -74,6 +77,16 @@ class TestKappaLimit:
             u, v = edges[rng.randrange(len(edges))]
             k1, k2, k4 = (kappa_t(g, geo, u, v, t) for t in (0.1, 0.2, 0.4))
             assert k2 >= (2.0 * k1 + k4) / 3.0 - 1e-9
+
+    @given(connected_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_independent_of_query_history(self, g):
+        # a geodesic must not depend on which queries came before it, or the
+        # curvature of an edge would depend on the order the edges are visited
+        per_edge = action_plain(g, GeodesicTable(g)).per_edge
+        for u, v in g.edges:
+            assert per_edge[(u, v)] == kappa(g, GeodesicTable(g), u, v)
+        assert per_edge == edge_curvatures(g, GeodesicTable(g), g.edges[::-1])
 
 
 class TestTreeClosedForm:

@@ -1,6 +1,5 @@
 import gc
 import itertools
-import math
 import weakref
 
 import pytest
@@ -12,10 +11,13 @@ from graphgrav import (
     HexRegionSpec,
     action_plain,
     build_graph,
+    edge_key,
     extract_region,
+    gen_complete,
     gen_hex_region,
     gen_tree,
     local_sums,
+    neighbor_distribution,
     sigma_edges,
 )
 from graphgrav.errors import (
@@ -30,7 +32,7 @@ from graphgrav.errors import (
 )
 from graphgrav.graph import graph_from_json, graph_to_json
 
-from conftest import random_connected_graph
+from conftest import connected_graphs, random_connected_graph
 
 
 def brute_force_distance(g, i, j):
@@ -130,20 +132,12 @@ class TestGeodesics:
 
 @st.composite
 def graphs_and_queries(draw):
-    """Random connected graph with log-uniform lengths in [1e-6, 1e3], and
-    random vertex pairs to query in order."""
-    n = draw(st.integers(2, 9))
-    verts = [str(k) for k in range(n)]
-    pairs = {(draw(st.integers(0, k - 1)), k) for k in range(1, n)}  # spanning tree
-    index = st.integers(0, n - 1)
-    for a, b in draw(st.lists(st.tuples(index, index), max_size=2 * n)):
-        if a != b:
-            pairs.add((min(a, b), max(a, b)))
-    log_length = st.floats(math.log(1e-6), math.log(1e3))
-    edges = [(verts[a], verts[b], math.exp(draw(log_length))) for a, b in sorted(pairs)]
-    vertex = st.sampled_from(verts)
-    queries = draw(st.lists(st.tuples(vertex, vertex), max_size=4 * n))
-    return build_graph(verts, edges), queries
+    """A graph from ``connected_graphs`` and random vertex pairs to query in
+    order."""
+    g = draw(connected_graphs())
+    vertex = st.sampled_from(g.vertices)
+    queries = draw(st.lists(st.tuples(vertex, vertex), max_size=4 * len(g.vertices)))
+    return g, queries
 
 
 class TestLazyGeodesics:
@@ -155,15 +149,13 @@ class TestLazyGeodesics:
     def test_queries_match_drained_rows(self, case):
         g, queries = case
         geo = GeodesicTable(g)
-        started = set()
         for i, j in queries:
             got = geo.dist(i, j)
             if i == j:
                 assert got == 0.0
                 continue
-            # j's search answers if it was started, else i's is used
-            source, target = (j, i) if j in started else (i, j)
-            started.add(source)
+            # the first vertex of the pair's edge key is the source
+            source, target = edge_key(i, j)
             assert got == GeodesicTable(g).row(source)[target]
         for source in g.vertices:
             assert geo.row(source) == GeodesicTable(g).row(source)
@@ -228,6 +220,45 @@ class TestLocalSums:
         c, d = local_sums(g, GeodesicTable(g), "u")
         assert c == pytest.approx(1.0 / a)
         assert d == pytest.approx(1.0 / a**2)
+
+
+class TestTableMemos:
+    """A table computes each vertex's walk and each support cost block once;
+    the memos must give the floats of the direct loops."""
+
+    @given(connected_graphs(), st.floats(1e-9, 0.99))
+    @settings(max_examples=60, deadline=None)
+    def test_walks_match_direct_loop(self, g, t):
+        geo = GeodesicTable(g)
+        for i in g.vertices:
+            inv = inv2 = 0.0
+            mass = {i: 1.0 - t}
+            for w in g.neighbors(i):
+                p = geo.dist(i, w)
+                inv += 1.0 / p
+                inv2 += 1.0 / (p * p)
+            for w in g.neighbors(i):
+                p = geo.dist(i, w)
+                mass[w] = t / (p * p) / inv2
+            for _ in range(2):  # computed, then read from the memo
+                assert local_sums(g, geo, i) == (inv, inv2)
+                assert neighbor_distribution(g, geo, i, t).mass == mass
+
+    def test_complete_graph_builds_one_cost_block(self, rng):
+        # every edge of K_n has the same two supports, all n vertices
+        g = gen_complete(10)
+        g = g.with_lengths({key: rng.uniform(0.25, 4.0) for key in g.edges})
+        geo = GeodesicTable(g)
+        action_plain(g, geo)
+        assert len(geo._blocks) == 1
+
+    def test_tree_builds_one_cost_block_per_edge(self, rng):
+        # the two solves of an edge's limit share its block
+        g = gen_tree(2, 4)
+        g = g.with_lengths({key: rng.uniform(0.5, 2.0) for key in g.edges})
+        geo = GeodesicTable(g)
+        action_plain(g, geo)
+        assert len(geo._blocks) == g.num_edges
 
 
 def fig1_graph():

@@ -15,6 +15,7 @@ from graphgrav import (
     wasserstein_oracle,
 )
 from graphgrav.errors import TOutOfRange, UnbalancedMass
+from graphgrav.graph import cells_by_cost
 from graphgrav.transport import _least_cost_start, _min_cost_flow, _transportation_simplex
 
 from conftest import random_connected_graph
@@ -167,7 +168,7 @@ class TestExactSimplex:
             assert sum(f for (_, c), f in flow.items() if c == j) == b
 
     def _assert_optimal(self, supply, demand, cost):
-        flow, u, v = _transportation_simplex(supply, demand, cost)
+        flow, u, v = _transportation_simplex(supply, demand, cost, cells_by_cost(cost))
         assert all(isinstance(f, Fraction) for f in flow.values() if f)
         self._assert_marginals(flow, supply, demand)
         for i in range(len(supply)):
@@ -188,7 +189,7 @@ class TestExactSimplex:
             demand = self._masses(rng, n)
             cost = [[rng.randint(0, 5) for _ in range(n)] for _ in range(m)]
 
-            start, basis, _ = _least_cost_start(supply, demand, cost)
+            start, basis, _ = _least_cost_start(supply, demand, cells_by_cost(cost))
             assert len(basis) == len(set(basis)) == m + n - 1
             root = list(range(m + n))  # rows 0..m-1, columns m..m+n-1
 
@@ -238,7 +239,7 @@ def test_negative_float_costs_match_shifted_min_cost_flow():
         total = sum(supply)
         demand = [b * total / sum(demand) for b in demand]
         cost = [[rng.uniform(-3.0, 5.0) for _ in range(n)] for _ in range(m)]
-        flow, _, _ = _transportation_simplex(supply, demand, cost)
+        flow, _, _ = _transportation_simplex(supply, demand, cost, cells_by_cost(cost))
         simplex_cost = sum(f * cost[i][j] for (i, j), f in flow.items())
         shift = -min(min(row) for row in cost)
         arcs = [(i, m + j, cost[i][j] + shift) for i in range(m) for j in range(n)]
