@@ -70,7 +70,6 @@ from .search import SearchResult, extremize_action, newton_solve_teom
 from .transport import (
     Distribution,
     TransportPlan,
-    edge_move_cost,
     neighbor_distribution,
     wasserstein,
     wasserstein_oracle,

@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass, field
 
 from .curvature import edge_curvatures, kappa_tree_closed
-from .dynamics import is_tree
-from .errors import NonpositiveInput, NonUniqueInwardEdge, NotAnEdge, NotATree, NotComplete, NotHexRegion
+from .dynamics import _require_tree
+from .errors import NonpositiveInput, NonUniqueInwardEdge, NotAnEdge, NotComplete, NotHexRegion
 from .graph import GeodesicTable, Region, WeightedGraph, edge_key, local_sums, sigma_edges
 
 
@@ -67,8 +67,7 @@ def action_ghy(g: WeightedGraph, region: Region) -> ActionReport:
     Requires a tree whose boundary vertices each have a unique inward edge.
     The lengths of edges leaving the region enter through the boundary c, d.
     """
-    if not is_tree(g):
-        raise NotATree("boundary closed forms are defined on trees")
+    _require_tree(g)
     geo = GeodesicTable(g)
     per_edge, total = _closed_form_parts(g, geo, region)
     for i in sorted(region.boundary_vertices, key=repr):
@@ -90,8 +89,7 @@ def action_region_plain(g: WeightedGraph, region: Region) -> ActionReport:
         2 P^-2 / (P^-2 + D_i)  -  P^-1 (P^-1 + C_i) / (P^-2 + D_i)
 
     through their unique inward edge of length P."""
-    if not is_tree(g):
-        raise NotATree("boundary closed forms are defined on trees")
+    _require_tree(g)
     per_edge, total = _closed_form_parts(g, GeodesicTable(g), region)
     for i in sorted(region.boundary_vertices, key=repr):
         i0 = _inward_edge(g, region, i)

@@ -266,9 +266,7 @@ def cmd_reproduce(args, inp):
             }
             for r in rows
         ]
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _emit(doc, args.out)
     return EXIT_OK if all_ok else EXIT_SEMANTIC
 
 

@@ -49,11 +49,6 @@ class Setting:
     def __contains__(self, key):
         return key in self.lengths
 
-    def merged_with(self, other: "Setting") -> "Setting":
-        out = dict(self.lengths)
-        out.update(other.lengths)
-        return Setting(out)
-
 
 def setting_from_pairs(pairs) -> Setting:
     """Setting from (u, v, length) triples."""

@@ -20,7 +20,7 @@ from .errors import (
 )
 from .graph import Region, WeightedGraph, build_graph, edge_key, extract_region
 
-_TreeShape = namedtuple("_TreeShape", "vertices edges parent children depth_of")
+_TreeShape = namedtuple("_TreeShape", "vertices edges parent children")
 
 MAX_TREE_VERTICES = 100_000
 
@@ -38,11 +38,10 @@ def _tree_shape(q: int, depth: int) -> _TreeShape:
     vertices = [root]
     parent = {root: None}
     children = {root: []}
-    depth_of = {root: 0}
     edges = []
     frontier = [root]
     counter = 1
-    for level in range(1, depth + 1):
+    for _ in range(depth):
         nxt = []
         for v in frontier:
             want = q + 1 if v == root else q
@@ -53,11 +52,10 @@ def _tree_shape(q: int, depth: int) -> _TreeShape:
                 parent[w] = v
                 children[v].append(w)
                 children[w] = []
-                depth_of[w] = level
                 edges.append((v, w))
                 nxt.append(w)
         frontier = nxt
-    return _TreeShape(vertices, edges, parent, children, depth_of)
+    return _TreeShape(vertices, edges, parent, children)
 
 
 def gen_tree(q: int, depth: int) -> WeightedGraph:
@@ -112,15 +110,8 @@ class Matching:
             seen.add(u)
             seen.add(v)
 
-    def covered(self):
-        out = set()
-        for u, v in self.edges:
-            out.add(u)
-            out.add(v)
-        return out
-
     def is_perfect(self, g: WeightedGraph) -> bool:
-        return self.covered() == set(g.vertices)
+        return {v for edge in self.edges for v in edge} == set(g.vertices)
 
 
 def find_perfect_matching(g: WeightedGraph):
@@ -153,8 +144,8 @@ def find_perfect_matching(g: WeightedGraph):
     return Matching(edges=frozenset(picked))
 
 
-def matching_setting(g: WeightedGraph, m: Matching, eps: float, off_lengths: Setting | None = None) -> Setting:
-    """Matched edges get length eps, the rest keep ``off_lengths`` (default 1).
+def matching_setting(g: WeightedGraph, m: Matching, eps: float) -> Setting:
+    """Matched edges get length eps, the rest length 1.
 
     Driving eps to zero realizes the degenerate matching limit while keeping
     every length positive.
@@ -163,32 +154,22 @@ def matching_setting(g: WeightedGraph, m: Matching, eps: float, off_lengths: Set
         raise NotPerfect("matching does not cover every vertex")
     if not eps > 0:
         raise NonpositiveLength(f"eps must be positive, got {eps}")
-    out = {}
-    for key in g.lengths():
-        if key in m.edges:
-            out[key] = float(eps)
-        elif off_lengths is not None and key in off_lengths:
-            out[key] = off_lengths[key]
-        else:
-            out[key] = 1.0
-    return Setting(out)
+    return Setting({key: float(eps) if key in m.edges else 1.0 for key in g.lengths()})
 
 
 # ---------------------------------------------------------------------------
 # line solutions and half-half settings
 
 
-def t1_setting(ratios, first_length: float = 1.0):
+def t1_setting(ratios):
     """Path graph plus setting whose inverse lengths follow ``ratios``.
 
-    Edge k+1 has inverse length equal to ratios[k] times that of edge k; the
-    chain solves the line equations of motion exactly when every ratio comes
-    from the two-value family of its predecessor.
+    The first edge has length 1 and edge k+1 has inverse length equal to
+    ratios[k] times that of edge k; the chain solves the line equations of
+    motion exactly when every ratio comes from the two-value family of its
+    predecessor.
     """
-    if not first_length > 0:
-        raise NonpositiveLength("first_length must be positive")
-    ratios = list(ratios)
-    lengths = [float(first_length)]
+    lengths = [1.0]
     for r in ratios:
         if not r > 0:
             raise BadParams("ratios must be positive")

@@ -62,16 +62,19 @@ def _action_value(g, lengths=None):
     return action_plain(g2, GeodesicTable(g2)).total
 
 
-def _tree_depths(g, root="0"):
-    depth = {root: 0}
-    queue = deque([root])
+def _binary_tree_and_region():
+    """gen_tree(2, 3), each vertex's depth below the root "0", and the region
+    of depth at most 2, the set-up of criteria 13 and 14."""
+    g = gen_tree(2, 3)
+    depth = {"0": 0}
+    queue = deque(["0"])
     while queue:
         v = queue.popleft()
         for w in g.neighbors(v):
             if w not in depth:
                 depth[w] = depth[v] + 1
                 queue.append(w)
-    return depth
+    return g, depth, extract_region(g, [v for v in g.vertices if depth[v] <= 2])
 
 
 def _random_connected(rng, n):
@@ -311,9 +314,7 @@ def criterion_12() -> CriterionResult:
 
 
 def criterion_13() -> CriterionResult:
-    g = gen_tree(2, 3)
-    depth = _tree_depths(g)
-    region = extract_region(g, [v for v in g.vertices if depth[v] <= 2])
+    g, _, region = _binary_tree_and_region()
     interior = [edge_key(u, v) for u, v in interior_edges(g)]
     boundary = Setting(
         {key: 1.0 for key in g.lengths() if key not in set(interior)}
@@ -343,9 +344,7 @@ def criterion_13() -> CriterionResult:
 
 
 def criterion_14() -> CriterionResult:
-    g = gen_tree(2, 3)
-    depth = _tree_depths(g)
-    region = extract_region(g, [v for v in g.vertices if depth[v] <= 2])
+    g, depth, region = _binary_tree_and_region()
     leaf = [key for key in g.lengths() if max(depth[key[0]], depth[key[1]]) == 3]
     inward = [key for key in g.lengths() if {depth[key[0]], depth[key[1]]} == {1, 2}]
     root_ring = [key for key in g.lengths() if min(depth[key[0]], depth[key[1]]) == 0]

@@ -13,13 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import action_plain
-from .dynamics import Setting, _tree_system, interior_edges, is_tree
-from .errors import BadParams, NoFreeEdges, NotATree, SingularJacobian
+from .dynamics import Setting, _require_tree, _tree_system, interior_edges
+from .errors import BadParams, NoFreeEdges, SingularJacobian
 from .graph import GeodesicTable, WeightedGraph, edge_key
 
 LOG_LENGTH_LO = math.log(1e-6)
 LOG_LENGTH_HI = math.log(1e3)
 MAX_DAMPINGS = 30
+MAX_NEWTON_ITER = 200
 MAX_LOG_STEP = 1.0  # trust region in log-length space
 
 
@@ -38,7 +39,6 @@ def newton_solve_teom(
     boundary: Setting,
     init: Setting,
     tol: float = 1e-12,
-    max_iter: int = 200,
     restarts: int = 0,
     seed: int = 42,
 ) -> SearchResult:
@@ -57,8 +57,7 @@ def newton_solve_teom(
     run from ``init`` stalls, up to ``restarts`` fresh starts are taken near
     the scale of the boundary data.
     """
-    if not is_tree(g):
-        raise NotATree("the equations of motion are solved on trees only")
+    _require_tree(g)
     interior = [edge_key(u, v) for u, v in interior_edges(g)]
     interior_set = set(interior)
     edge_keys = set(g.lengths())
@@ -73,7 +72,7 @@ def newton_solve_teom(
 
     x0 = np.array([math.log(init[key]) for key in free], dtype=float)
     residual, jacobian = _tree_system(g, interior, free, fixed)
-    result = _newton_run(residual, jacobian, x0, tol, max_iter)
+    result = _newton_run(residual, jacobian, x0, tol)
     used = 0
     if not result[2] and free and restarts > 0:
         rng = np.random.default_rng(seed)
@@ -81,7 +80,7 @@ def newton_solve_teom(
         for _ in range(restarts):
             used += 1
             spread = rng.uniform(-0.3, 0.3, size=len(free))
-            retry = _newton_run(residual, jacobian, anchor + spread, tol, max_iter)
+            retry = _newton_run(residual, jacobian, anchor + spread, tol)
             if retry[2]:
                 result = retry
                 break
@@ -102,7 +101,7 @@ def _outside_box(x):
     return x.size and (np.min(x) < LOG_LENGTH_LO or np.max(x) > LOG_LENGTH_HI)
 
 
-def _newton_run(residual, jacobian, x, tol, max_iter):
+def _newton_run(residual, jacobian, x, tol):
     """One damped Newton descent; returns (x, max_abs_residual, converged, iters).
     Every iterate stays inside the box; a step that leaves it is damped."""
     if _outside_box(x):
@@ -110,7 +109,7 @@ def _newton_run(residual, jacobian, x, tol, max_iter):
     res = residual(x)
     iterations = 0
     converged = bool(np.max(np.abs(res), initial=0.0) < tol)
-    while not converged and iterations < max_iter and x.size:
+    while not converged and iterations < MAX_NEWTON_ITER and x.size:
         jac = jacobian(x)
         try:
             if jac.shape[0] == jac.shape[1]:
@@ -167,13 +166,15 @@ def extremize_action(
         raise NoFreeEdges("no free edges to vary")
     sign = -1.0 if objective == "max" else 1.0
 
+    def lengths_at(x):
+        lengths = dict(fixed_map)
+        lengths.update(zip(free, map(math.exp, x.tolist())))
+        return lengths
+
     def value(x):
         if np.any(x < LOG_LENGTH_LO) or np.any(x > LOG_LENGTH_HI):
             return 1e9
-        lengths = dict(fixed_map)
-        for k, key in enumerate(free):
-            lengths[key] = math.exp(float(x[k]))
-        g2 = g.with_lengths(lengths)
+        g2 = g.with_lengths(lengths_at(x))
         geo = GeodesicTable(g2)
         return sign * action_plain(g2, geo).total
 
@@ -200,9 +201,7 @@ def extremize_action(
     # nearest to geometric mean 1 that keeps every length in the box is taken
     if not fixed_map:
         best_x = best_x + np.clip(-np.mean(best_x), LOG_LENGTH_LO - best_x.min(), LOG_LENGTH_HI - best_x.max())
-    lengths = dict(fixed_map)
-    for k, key in enumerate(free):
-        lengths[key] = math.exp(float(best_x[k]))
+    lengths = lengths_at(best_x)
     setting = Setting(lengths)
     g2 = g.with_lengths(lengths)
     achieved = action_plain(g2, GeodesicTable(g2)).total

@@ -1,11 +1,11 @@
 """Vertex probability distributions and exact transportation costs.
 
-Two independent solvers compute the same optimal cost: a dense transportation
-simplex over the support-by-support geodesic cost matrix, started from a
-least-cost basis (the primary path), and a successive-shortest-path min-cost
-flow on the bipartite support graph (the verification oracle).  A third
-formulation moves mass only along graph edges and doubles as the source of
-1-Lipschitz dual potentials.
+Two independent solvers compute the same optimal cost from one checked
+set-up of the two supports and their masses: a dense transportation simplex
+over the support-by-support geodesic cost matrix, started from a least-cost
+basis (the primary path), and a successive-shortest-path min-cost flow on
+the bipartite support graph (the verification oracle), which prices its own
+arcs with ``geo.dist``.
 
 The primary path reads each neighbour walk, and each support cost matrix
 with its least-cost cell order, from the geodesic table, which computes
@@ -21,7 +21,7 @@ cell's cycle is read.  Costs may be negative.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import TOutOfRange, UnbalancedMass, UnknownVertex
 from .graph import GeodesicTable, WeightedGraph
@@ -29,6 +29,7 @@ from .graph import GeodesicTable, WeightedGraph
 MASS_TOL = 1e-12
 FLOW_TOL = 1e-15
 MAX_PIVOTS = 100000
+SSP_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -56,17 +57,10 @@ class Distribution:
 
 @dataclass(frozen=True)
 class TransportPlan:
-    """Optimal flows between two distributions and their total cost.
-
-    ``source_potential``/``sink_potential`` are the simplex dual variables;
-    they satisfy u_s + v_t <= cost(s, t) with equality on every cell that
-    carries flow.
-    """
+    """Optimal flows between two distributions and their total cost."""
 
     flows: dict
     cost: float
-    source_potential: dict = field(default_factory=dict)
-    sink_potential: dict = field(default_factory=dict)
 
 
 def neighbor_distribution(g: WeightedGraph, geo: GeodesicTable, i, t: float) -> Distribution:
@@ -90,73 +84,41 @@ def wasserstein(g: WeightedGraph, geo: GeodesicTable, mu: Distribution, nu: Dist
     termination is guaranteed.  The cost matrix and its cell order come
     from ``geo.cost_block``, built once per pair of supports.
     """
-    sources = _checked_support(g, mu)
-    sinks = _checked_support(g, nu)
-    if abs(sum(mu.mass.values()) - sum(nu.mass.values())) > 1e-10:
-        raise UnbalancedMass("distributions carry different total mass")
-    supply = [mu(v) for v in sources]
-    demand = [nu(v) for v in sinks]
+    sources, sinks, supply, demand = _supports(g, mu, nu)
     cost, cells = geo.cost_block(sources, sinks)
-    flow, u_pot, v_pot = _transportation_simplex(supply, demand, cost, cells)
+    flow, _, _ = _transportation_simplex(supply, demand, cost, cells)
     flows = {}
     total = 0.0
     for (a, b), f in flow.items():
         if f > FLOW_TOL:
             flows[(sources[a], sinks[b])] = f
             total += f * cost[a][b]
-    return TransportPlan(
-        flows=flows,
-        cost=total,
-        source_potential={sources[a]: u_pot[a] for a in range(len(sources))},
-        sink_potential={sinks[b]: v_pot[b] for b in range(len(sinks))},
-    )
+    return TransportPlan(flows=flows, cost=total)
 
 
 def wasserstein_oracle(g: WeightedGraph, geo: GeodesicTable, mu: Distribution, nu: Distribution) -> float:
     """Same optimum as :func:`wasserstein`, via successive shortest paths on
     the bipartite support graph.  Kept structurally independent for testing."""
-    sources = _checked_support(g, mu)
-    sinks = _checked_support(g, nu)
-    if abs(sum(mu.mass.values()) - sum(nu.mass.values())) > 1e-10:
-        raise UnbalancedMass("distributions carry different total mass")
+    sources, sinks, supply, demand = _supports(g, mu, nu)
     n_src = len(sources)
-    nodes = n_src + len(sinks)
     arcs = []
     for a, u in enumerate(sources):
         for b, v in enumerate(sinks):
             arcs.append((a, n_src + b, geo.dist(u, v)))
-    supply = [mu(u) for u in sources] + [-nu(v) for v in sinks]
-    total, _, _ = _min_cost_flow(nodes, arcs, supply)
+    total, _, _ = _min_cost_flow(n_src + len(sinks), arcs, supply + [-m for m in demand])
     return total
 
 
-def edge_move_cost(g: WeightedGraph, geo: GeodesicTable, mu: Distribution, nu: Distribution):
-    """Transportation cost when mass may only hop between graph neighbors,
-    each hop charged the geodesic length of that edge.
-
-    Returns (cost, potential) where potential is 1-Lipschitz across every
-    edge and satisfies sum(potential * (mu - nu)) == cost at the optimum.
-    """
-    _checked_support(g, mu)
-    _checked_support(g, nu)
-    index = {v: k for k, v in enumerate(g.vertices)}
-    arcs = []
-    for u, v in g.edges:
-        p = geo.dist(u, v)
-        arcs.append((index[u], index[v], p))
-        arcs.append((index[v], index[u], p))
-    supply = [mu(v) - nu(v) for v in g.vertices]
-    total, _, pot = _min_cost_flow(len(index), arcs, supply)
-    f = {v: -pot[index[v]] for v in g.vertices}
-    return total, f
-
-
-def _checked_support(g, dist):
-    support = dist.support
-    for v in support:
+def _supports(g, mu, nu):
+    """The supports of mu and nu, each read once and checked against g, and
+    their masses, after checking that mu and nu carry the same total."""
+    sources, sinks = mu.support, nu.support
+    for v in (*sources, *sinks):
         if v not in g:
             raise UnknownVertex(f"distribution has mass at unknown vertex {v!r}")
-    return support
+    if abs(sum(mu.mass.values()) - sum(nu.mass.values())) > 1e-10:
+        raise UnbalancedMass("distributions carry different total mass")
+    return sources, sinks, [mu(v) for v in sources], [nu(v) for v in sinks]
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +243,7 @@ def _transportation_simplex(supply, demand, cost, cells):
 # successive-shortest-path min-cost flow (uncapacitated)
 
 
-def _min_cost_flow(n_nodes, arcs, supply, tol=1e-13):
+def _min_cost_flow(n_nodes, arcs, supply):
     """Uncapacitated min-cost flow with nonnegative arc costs.
 
     ``arcs`` is a list of (tail, head, cost).  ``supply`` holds the net mass
@@ -298,7 +260,7 @@ def _min_cost_flow(n_nodes, arcs, supply, tol=1e-13):
     inf = float("inf")
     for _ in range(4 * (n_nodes + len(arcs)) + 16):
         s = max(range(n_nodes), key=lambda k: excess[k])
-        if excess[s] <= tol:
+        if excess[s] <= SSP_TOL:
             break
         dist = [inf] * n_nodes
         prev_arc = [None] * n_nodes
@@ -328,7 +290,7 @@ def _min_cost_flow(n_nodes, arcs, supply, tol=1e-13):
                 best = dist[k]
                 t = k
         if t is None:
-            if any(excess[k] < -10.0 * tol for k in range(n_nodes)):
+            if any(excess[k] < -10.0 * SSP_TOL for k in range(n_nodes)):
                 raise UnbalancedMass("flow problem is infeasible")
             break  # only rounding dust remains
         for k in range(n_nodes):
@@ -348,7 +310,7 @@ def _min_cost_flow(n_nodes, arcs, supply, tol=1e-13):
             node = x
         excess[s] -= amount
         excess[t] += amount
-    if max(excess) > 10.0 * tol:
+    if max(excess) > 10.0 * SSP_TOL:
         raise RuntimeError("min-cost flow failed to route all mass")
     total = sum(f * arcs[k][2] for k, f in enumerate(flow) if f > 0.0)
     return total, flow, pot

@@ -377,7 +377,11 @@ class TestReproduceCommand:
         code, out = run(capsys, "reproduce", "--out", str(out_file))
         assert code == 0
         assert "2/2 criteria passed" in out
-        assert len(json.loads(out_file.read_text())) == 2
+        rows = [
+            {"num": k, "name": f"stub {k}", "passed": True, "computed": "x", "expected": "y", "note": ""}
+            for k in (1, 2)
+        ]
+        assert out_file.read_text() == json.dumps(rows, indent=2, sort_keys=True) + "\n"
 
     def test_failure_exits_one(self, capsys, monkeypatch):
         import graphgrav.cli as cli

@@ -7,14 +7,13 @@ from graphgrav import (
     Distribution,
     GeodesicTable,
     build_graph,
-    edge_move_cost,
     gen_tree,
     local_sums,
     neighbor_distribution,
     wasserstein,
     wasserstein_oracle,
 )
-from graphgrav.errors import TOutOfRange, UnbalancedMass
+from graphgrav.errors import TOutOfRange, UnbalancedMass, UnknownVertex
 from graphgrav.graph import cells_by_cost
 from graphgrav.transport import _least_cost_start, _min_cost_flow, _transportation_simplex
 
@@ -74,18 +73,18 @@ class TestWasserstein:
         mu = neighbor_distribution(line3, line3_geo, "b", 0.4)
         assert wasserstein(line3, line3_geo, mu, mu).cost == pytest.approx(0.0, abs=1e-12)
 
-    def test_unbalanced_rejected(self, line3, line3_geo):
+    @pytest.mark.parametrize("solve", [wasserstein, wasserstein_oracle])
+    def test_unbalanced_rejected(self, line3, line3_geo, solve):
         lop = Distribution({"a": 0.7, "b": 0.3})
         bad = Distribution.__new__(Distribution)
         object.__setattr__(bad, "mass", {"a": 0.5})
         with pytest.raises(UnbalancedMass):
-            wasserstein(line3, line3_geo, lop, bad)
+            solve(line3, line3_geo, lop, bad)
 
-    def test_unknown_support_rejected(self, line3, line3_geo):
-        from graphgrav.errors import UnknownVertex
-
+    @pytest.mark.parametrize("solve", [wasserstein, wasserstein_oracle])
+    def test_unknown_support_rejected(self, line3, line3_geo, solve):
         with pytest.raises(UnknownVertex):
-            wasserstein(line3, line3_geo, Distribution({"zz": 1.0}), Distribution({"a": 1.0}))
+            solve(line3, line3_geo, Distribution({"zz": 1.0}), Distribution({"a": 1.0}))
 
     def test_marginals_and_duals(self, rng):
         for _ in range(25):
@@ -108,16 +107,18 @@ class TestWasserstein:
                 assert m == pytest.approx(mu(a), abs=1e-10)
             for b, m in col.items():
                 assert m == pytest.approx(nu(b), abs=1e-10)
-            # dual feasibility and complementary slackness
-            for a in plan.source_potential:
-                for b in plan.sink_potential:
-                    slack = (
-                        geo.dist(a, b)
-                        - plan.source_potential[a]
-                        - plan.sink_potential[b]
-                    )
+            # dual feasibility and complementary slackness of the simplex
+            # that wasserstein runs, on the same cost block
+            sources, sinks = mu.support, nu.support
+            cost, cells = geo.cost_block(sources, sinks)
+            flow, pot_u, pot_v = _transportation_simplex(
+                [mu(a) for a in sources], [nu(b) for b in sinks], cost, cells
+            )
+            for a in range(len(sources)):
+                for b in range(len(sinks)):
+                    slack = cost[a][b] - pot_u[a] - pot_v[b]
                     assert slack > -1e-9
-                    if (a, b) in plan.flows and plan.flows[(a, b)] > 1e-12:
+                    if flow.get((a, b), 0.0) > 1e-12:
                         assert abs(slack) < 1e-9
 
     def test_symmetry(self, rng):
@@ -267,6 +268,24 @@ class TestOracle:
     def test_same_distribution(self, line3, line3_geo):
         mu = neighbor_distribution(line3, line3_geo, "b", 0.2)
         assert wasserstein_oracle(line3, line3_geo, mu, mu) == pytest.approx(0.0, abs=1e-12)
+
+
+def edge_move_cost(g, geo, mu, nu):
+    """Transportation cost when mass may only hop between graph neighbors,
+    each hop charged the geodesic length of that edge.
+
+    Returns (cost, potential) where potential is 1-Lipschitz across every
+    edge and satisfies sum(potential * (mu - nu)) == cost at the optimum.
+    """
+    index = {v: k for k, v in enumerate(g.vertices)}
+    arcs = []
+    for u, v in g.edges:
+        p = geo.dist(u, v)
+        arcs.append((index[u], index[v], p))
+        arcs.append((index[v], index[u], p))
+    supply = [mu(v) - nu(v) for v in g.vertices]
+    total, _, pot = _min_cost_flow(len(index), arcs, supply)
+    return total, {v: -pot[index[v]] for v in g.vertices}
 
 
 class TestEdgeMoves:
