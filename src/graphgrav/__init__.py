@@ -28,9 +28,6 @@ from .dynamics import (
     is_tree,
     nogo_indicator,
     scale_setting,
-    setting_from_json,
-    setting_from_pairs,
-    setting_to_json,
     t1_next_ratios,
     two_progression_x,
     verify_solution,
@@ -59,11 +56,7 @@ from .graph import (
     build_graph,
     edge_key,
     extract_region,
-    graph_from_json,
-    graph_to_json,
     local_sums,
-    region_from_json,
-    region_to_json,
     sigma_edges,
 )
 from .search import SearchResult, extremize_action, newton_solve_teom

@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .curvature import edge_curvatures, kappa_tree_closed
+from .curvature import _require_edge, edge_curvatures, kappa_tree_closed
 from .dynamics import _require_tree
-from .errors import NonpositiveInput, NonUniqueInwardEdge, NotAnEdge, NotComplete, NotHexRegion
+from .errors import NonpositiveInput, NonUniqueInwardEdge, NotComplete, NotHexRegion
 from .graph import GeodesicTable, Region, WeightedGraph, edge_key, local_sums, sigma_edges
 
 
@@ -196,8 +196,7 @@ def partial_action_complete(g: WeightedGraph, geo: GeodesicTable) -> float:
 
 def partial_cost(g: WeightedGraph, geo: GeodesicTable, i, j, t: float) -> float:
     """One-sided partial cost (1 - t - t P^-2/d_i) P for the edge i -> j."""
-    if not g.has_edge(i, j):
-        raise NotAnEdge(f"({i!r}, {j!r}) is not an edge")
+    _require_edge(g, i, j)
     p = geo.dist(i, j)
     _, d = local_sums(g, geo, i)
     return (1.0 - t - t / (p * p) / d) * p

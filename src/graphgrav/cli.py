@@ -22,8 +22,7 @@ import sys
 from . import reproduce as repro
 from .action import action_ghy, action_plain, action_region_plain, ratio_bounds, tree_action_hex
 from .curvature import edge_curvatures, kappa_t
-from .dynamics import Setting, interior_edges, setting_from_json, setting_to_json
-from .dynamics import two_progression_x, verify_solution
+from .dynamics import Setting, interior_edges, two_progression_x, verify_solution
 from .errors import GraphGravError
 from .generators import (
     HexRegionSpec,
@@ -37,21 +36,46 @@ from .generators import (
     matching_setting,
     two_progression_setting,
 )
-from .graph import (
-    GeodesicTable,
-    edge_key,
-    graph_from_json,
-    graph_to_json,
-    load_json,
-    region_from_json,
-    region_to_json,
-)
+from .graph import GeodesicTable, build_graph, edge_key, extract_region
 from .search import extremize_action, newton_solve_teom
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
 EXIT_PARSE = 2
 EXIT_INVARIANT = 3
+
+
+# The file formats, all with string vertex ids:
+#   graph    {"vertices": [id], "edges": [{"u": id, "v": id, "len": float}]}
+#   setting  {"lengths": [{"u": id, "v": id, "len": float}]}
+#   region   {"sigma": [id]}
+
+
+def _graph_to_json(g):
+    return {
+        "vertices": [str(v) for v in g.vertices],
+        "edges": [{"u": str(u), "v": str(v), "len": g.length(u, v)} for u, v in g.edges],
+    }
+
+
+def _graph_from_json(doc):
+    vertices = [str(v) for v in doc["vertices"]]
+    edges = [(str(e["u"]), str(e["v"]), float(e["len"])) for e in doc["edges"]]
+    return build_graph(vertices, edges)
+
+
+def _setting_to_json(setting):
+    items = sorted(setting.lengths.items(), key=lambda kv: repr(kv[0]))
+    return {"lengths": [{"u": str(u), "v": str(v), "len": ell} for (u, v), ell in items]}
+
+
+def _setting_from_json(doc):
+    return Setting({edge_key(str(e["u"]), str(e["v"])): float(e["len"]) for e in doc["lengths"]})
+
+
+def _load_json(path):
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def _emit(doc, out_path):
@@ -74,16 +98,17 @@ def _load_inputs(args):
     """
     if args.command in ("gen", "reproduce"):
         return {}
-    inp = {"g": graph_from_json(load_json(args.graph))}
+    inp = {"g": _graph_from_json(_load_json(args.graph))}
     for name in ("setting", "boundary", "init", "fixed"):
         path = getattr(args, name, None)
-        inp[name] = setting_from_json(load_json(path)) if path else None
+        inp[name] = _setting_from_json(_load_json(path)) if path else None
     if args.command != "verify-eom" and inp["setting"] is not None:
         inp["g"] = inp["g"].with_lengths(inp["setting"])
     if getattr(args, "variant", "plain") != "plain":
         if not args.region:
             raise ValueError("this variant needs --region")
-        inp["region"] = region_from_json(load_json(args.region), inp["g"])
+        sigma = [str(v) for v in _load_json(args.region)["sigma"]]
+        inp["region"] = extract_region(inp["g"], sigma)
     return inp
 
 
@@ -125,11 +150,11 @@ def cmd_gen(args, inp):
             setting = matching_setting(g, m, args.eps)
         elif args.setting == "constant":
             setting = constant_setting(g, args.length)
-    doc = {"graph": graph_to_json(g)}
+    doc = {"graph": _graph_to_json(g)}
     if setting is not None:
-        doc["setting"] = setting_to_json(setting)
+        doc["setting"] = _setting_to_json(setting)
     if region is not None:
-        doc["region"] = region_to_json(region)
+        doc["region"] = {"sigma": sorted(str(v) for v in region.vertices)}
     _emit(doc, args.out)
     return EXIT_OK
 
@@ -201,7 +226,7 @@ def cmd_solve_eom(args, inp):
         "max_abs_residual": res.objective,
         "iterations": res.iterations,
         "restarts_used": res.restarts_used,
-        "setting": setting_to_json(res.setting),
+        "setting": _setting_to_json(res.setting),
     }
     _emit(doc, args.out)
     return EXIT_OK if res.converged else EXIT_SEMANTIC
@@ -217,7 +242,7 @@ def cmd_search(args, inp):
         "evaluations": res.iterations,
         "restarts_used": res.restarts_used,
         "at_box_boundary": res.at_box_boundary,
-        "setting": setting_to_json(res.setting),
+        "setting": _setting_to_json(res.setting),
     }
     if res.at_box_boundary:
         doc["note"] = "best point sits on the length box; treat as supremum evidence"

@@ -22,13 +22,12 @@ import numpy as np
 from .errors import (
     BadParams,
     NegativeDiscriminant,
-    NonpositiveLength,
     NonpositiveScale,
     NotATree,
     QNotOdd,
     RatioNotGreaterThanOne,
 )
-from .graph import Region, WeightedGraph, edge_key
+from .graph import Region, WeightedGraph, _check_length, edge_key
 
 
 @dataclass(frozen=True)
@@ -40,19 +39,13 @@ class Setting:
 
     def __post_init__(self):
         for key, val in self.lengths.items():
-            if not val > 0 or not math.isfinite(val):
-                raise NonpositiveLength(f"length for edge {key!r} must be positive, got {val}")
+            _check_length(key, val)
 
     def __getitem__(self, key):
         return self.lengths[key]
 
     def __contains__(self, key):
         return key in self.lengths
-
-
-def setting_from_pairs(pairs) -> Setting:
-    """Setting from (u, v, length) triples."""
-    return Setting({edge_key(u, v): float(ell) for u, v, ell in pairs})
 
 
 @dataclass(frozen=True)
@@ -238,19 +231,3 @@ def two_progression_x(alpha: float, y: float):
         raise NegativeDiscriminant(f"discriminant {disc} is negative")
     root = math.sqrt(disc)
     return tuple(sorted({(-b - root) / (2.0 * a), (-b + root) / (2.0 * a)}))
-
-
-# Setting JSON interface: {"lengths": [{"u": str, "v": str, "len": float}]}
-
-def setting_to_json(setting: Setting) -> dict:
-    rows = [
-        {"u": str(u), "v": str(v), "len": ell}
-        for (u, v), ell in sorted(setting.lengths.items(), key=lambda kv: repr(kv[0]))
-    ]
-    return {"lengths": rows}
-
-
-def setting_from_json(doc: dict) -> Setting:
-    return setting_from_pairs(
-        (str(e["u"]), str(e["v"]), float(e["len"])) for e in doc["lengths"]
-    )

@@ -14,7 +14,6 @@ from .errors import (
     BadParams,
     InconsistentParams,
     InvalidRatioChain,
-    NonpositiveLength,
     NotPerfect,
     TooLarge,
 )
@@ -87,8 +86,6 @@ def gen_cycle(n: int) -> WeightedGraph:
 
 
 def constant_setting(g: WeightedGraph, a: float) -> Setting:
-    if not a > 0:
-        raise NonpositiveLength(f"constant length must be positive, got {a}")
     return Setting({key: float(a) for key in g.lengths()})
 
 
@@ -152,8 +149,6 @@ def matching_setting(g: WeightedGraph, m: Matching, eps: float) -> Setting:
     """
     if not m.is_perfect(g):
         raise NotPerfect("matching does not cover every vertex")
-    if not eps > 0:
-        raise NonpositiveLength(f"eps must be positive, got {eps}")
     return Setting({key: float(eps) if key in m.edges else 1.0 for key in g.lengths()})
 
 
@@ -218,7 +213,7 @@ def half_half_setting(q: int, depth: int, ratios) -> Setting:
         if not r > 1.0:
             raise InvalidRatioChain(f"ratios must exceed 1, got {r}")
     r0 = chain[0]
-    admissible = {r0, (r0 + 1.0) / (r0 - 1.0)}
+    admissible = t1_next_ratios(r0)
     for r in chain:
         if min(abs(r - a) for a in admissible) > 1e-9:
             raise InvalidRatioChain(

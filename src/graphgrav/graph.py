@@ -9,7 +9,7 @@ through :meth:`WeightedGraph.with_lengths` and gets a fresh geodesic table.
 from __future__ import annotations
 
 import heapq
-import json
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -25,11 +25,20 @@ from .errors import (
 
 
 def edge_key(u, v):
-    """Order-normalized key for the undirected edge between u and v."""
+    """Order-normalized key for the undirected edge between u and v: the
+    smaller id first, or the smaller repr where the two do not compare."""
     try:
-        return (u, v) if u <= v else (v, u)
-    except TypeError:
-        return (u, v) if str(u) <= str(v) else (v, u)
+        first = u < v or not v < u and repr(u) <= repr(v)
+    except TypeError:  # mixed types
+        first = repr(u) <= repr(v)
+    return (u, v) if first else (v, u)
+
+
+def _check_length(key, ell):
+    """Raise NonpositiveLength unless the length of edge ``key`` is positive
+    and finite (NaN is neither)."""
+    if not 0.0 < ell < math.inf:
+        raise NonpositiveLength(f"length for edge {key!r} must be positive and finite, got {ell}")
 
 
 class WeightedGraph:
@@ -95,8 +104,7 @@ class WeightedGraph:
             if key not in mapping:
                 raise NotAnEdge(f"no length given for edge {key!r}")
             val = float(mapping[key])
-            if not val > 0 or val != val or val == float("inf"):
-                raise NonpositiveLength(f"length for edge {key!r} must be positive and finite")
+            _check_length(key, val)
             out[key] = val
         return WeightedGraph(self._vertices, self._adj, out)
 
@@ -118,27 +126,32 @@ def build_graph(vertex_ids, weighted_edges):
             raise SelfLoop(f"self-loop at {u!r}")
         if u not in vset or v not in vset:
             raise UnknownVertex(f"edge ({u!r}, {v!r}) references unknown vertex")
-        ell = float(ell)
-        if not ell > 0 or ell != ell or ell == float("inf"):
-            raise NonpositiveLength(f"edge ({u!r}, {v!r}) has nonpositive length {ell}")
         key = edge_key(u, v)
+        ell = float(ell)
+        _check_length(key, ell)
         if key in lengths:
             raise DuplicateEdge(f"duplicate edge {key!r}")
         lengths[key] = ell
         adj[u].append(v)
         adj[v].append(u)
     adj = {v: tuple(sorted(nbrs, key=repr)) for v, nbrs in adj.items()}
-    # connectivity
-    seen = {vertices[0]}
-    stack = [vertices[0]]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != len(vertices):
+    if not _connected(adj, vset):
         raise Disconnected("graph is not connected")
     return WeightedGraph(vertices, adj, lengths)
+
+
+def _connected(adj, within):
+    """Whether the nonempty vertex set ``within`` is connected by the edges
+    of the adjacency map ``adj`` that join two of its vertices."""
+    start = next(iter(within))
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w in within and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(within)
 
 
 def _search(g: WeightedGraph, source, settled):
@@ -181,15 +194,6 @@ class GeodesicTable:
         self._searches = {}  # source -> ({vertex: distance} settled so far, search)
         self._walks = {}  # vertex -> (sum 1/P, sum 1/P^2, ((neighbour, P), ...))
         self._blocks = {}  # (sources, sinks) -> (cost matrix, cells_by_cost of it)
-
-    def row(self, source):
-        """Distances from ``source`` to every vertex."""
-        if source not in self._g:
-            raise UnknownVertex(f"unknown vertex {source!r}")
-        settled, search = self._searches.get(source) or self._dijkstra(source)
-        for _ in search:
-            pass
-        return settled
 
     def dist(self, i, j):
         if i not in self._g._adj or j not in self._g._adj:
@@ -273,16 +277,7 @@ def extract_region(g: WeightedGraph, sigma_vertices) -> Region:
     for v in ordered:  # in the given order, so the message names the same vertex
         if v not in g:
             raise UnknownVertex(f"unknown vertex {v!r}")
-    # induced connectivity
-    start = next(iter(sigma))
-    seen = {start}
-    stack = [start]
-    while stack:
-        for w in g.neighbors(stack.pop()):
-            if w in sigma and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if seen != sigma:
+    if not _connected(g._adj, sigma):
         raise DisconnectedRegion("induced subgraph is not connected")
     boundary = {v for v in sigma if any(w not in sigma for w in g.neighbors(v))}
     bedges = set()
@@ -305,33 +300,3 @@ def sigma_edges(g: WeightedGraph, region: Region):
         if u in verts and v in verts:
             out.append((u, v))
     return tuple(out)
-
-
-# JSON interface: {"vertices": [str], "edges": [{"u": str, "v": str, "len": float}]}
-
-def graph_to_json(g: WeightedGraph) -> dict:
-    return {
-        "vertices": [str(v) for v in g.vertices],
-        "edges": [
-            {"u": str(u), "v": str(v), "len": g.length(u, v)} for u, v in g.edges
-        ],
-    }
-
-
-def graph_from_json(doc: dict) -> WeightedGraph:
-    vertices = [str(v) for v in doc["vertices"]]
-    edges = [(str(e["u"]), str(e["v"]), float(e["len"])) for e in doc["edges"]]
-    return build_graph(vertices, edges)
-
-
-def region_from_json(doc: dict, g: WeightedGraph) -> Region:
-    return extract_region(g, [str(v) for v in doc["sigma"]])
-
-
-def region_to_json(region: Region) -> dict:
-    return {"sigma": sorted(str(v) for v in region.vertices)}
-
-
-def load_json(path):
-    with open(path) as fh:
-        return json.load(fh)

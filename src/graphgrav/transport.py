@@ -41,10 +41,10 @@ class Distribution:
     def __post_init__(self):
         total = 0.0
         for v, m in self.mass.items():
-            if m < -MASS_TOL:
-                raise UnbalancedMass(f"negative mass {m} at {v!r}")
+            if not m >= -MASS_TOL:  # NaN fails too
+                raise UnbalancedMass(f"mass {m} at {v!r} is not a nonnegative number")
             total += m
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:
             raise UnbalancedMass(f"masses sum to {total}, expected 1")
 
     @property
@@ -116,7 +116,7 @@ def _supports(g, mu, nu):
     for v in (*sources, *sinks):
         if v not in g:
             raise UnknownVertex(f"distribution has mass at unknown vertex {v!r}")
-    if abs(sum(mu.mass.values()) - sum(nu.mass.values())) > 1e-10:
+    if not abs(sum(mu.mass.values()) - sum(nu.mass.values())) <= 1e-10:  # NaN fails too
         raise UnbalancedMass("distributions carry different total mass")
     return sources, sinks, [mu(v) for v in sources], [nu(v) for v in sinks]
 

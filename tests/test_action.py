@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from graphgrav import (
     GeodesicTable,
-    Setting,
     action_ghy,
     action_plain,
     action_region_plain,
@@ -14,7 +13,6 @@ from graphgrav import (
     boundary_minimizer,
     boundary_term,
     build_graph,
-    constant_setting,
     extract_region,
     find_perfect_matching,
     gen_complete,

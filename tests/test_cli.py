@@ -17,10 +17,8 @@ from graphgrav import (
     gen_tree,
     half_half_setting,
     interior_edges,
-    setting_to_json,
 )
-from graphgrav.cli import main
-from graphgrav.graph import graph_to_json
+from graphgrav.cli import _graph_from_json, _graph_to_json, _setting_to_json, main
 
 
 def run(capsys, *argv):
@@ -190,7 +188,7 @@ class TestSolveAndBounds:
         # boundary = leaf-touching edges of the depth-2 tree
         import graphgrav as gg
 
-        g = gg.graph_from_json(doc["graph"])
+        g = _graph_from_json(doc["graph"])
         interior = {gg.edge_key(u, v) for u, v in gg.interior_edges(g)}
         boundary = {
             "lengths": [
@@ -227,7 +225,7 @@ def _hex_file(tmp_path):
     rng = random.Random(3)
     g = g.with_lengths({key: math.exp(rng.uniform(-1.0, 1.0)) for key in g.edges})
     path = tmp_path / "hex.json"
-    path.write_text(json.dumps(graph_to_json(g)))
+    path.write_text(json.dumps(_graph_to_json(g)))
     return [str(path)]
 
 
@@ -237,20 +235,20 @@ def _tree_boundary_files(tmp_path):
     boundary = {
         "lengths": [{"u": u, "v": v, "len": 1.0} for u, v in g.edges if edge_key(u, v) not in interior]
     }
-    (tmp_path / "tree.json").write_text(json.dumps(graph_to_json(g)))
+    (tmp_path / "tree.json").write_text(json.dumps(_graph_to_json(g)))
     (tmp_path / "boundary.json").write_text(json.dumps(boundary))
     return [str(tmp_path / "tree.json"), str(tmp_path / "boundary.json"), "--restarts", "2"]
 
 
 def _half_half_files(tmp_path):
     setting = half_half_setting(3, 3, 2.0)
-    (tmp_path / "tree.json").write_text(json.dumps(graph_to_json(gen_tree(3, 3))))
-    (tmp_path / "setting.json").write_text(json.dumps(setting_to_json(setting)))
+    (tmp_path / "tree.json").write_text(json.dumps(_graph_to_json(gen_tree(3, 3))))
+    (tmp_path / "setting.json").write_text(json.dumps(_setting_to_json(setting)))
     return [str(tmp_path / "tree.json"), str(tmp_path / "setting.json")]
 
 
 def _c4_file(tmp_path):
-    (tmp_path / "c4.json").write_text(json.dumps(graph_to_json(gen_cycle(4))))
+    (tmp_path / "c4.json").write_text(json.dumps(_graph_to_json(gen_cycle(4))))
     return [str(tmp_path / "c4.json"), "--objective", "min", "--restarts", "1"]
 
 
@@ -341,7 +339,7 @@ def test_package_runs_as_a_module(tmp_path, capsys):
 
 def test_unknown_region_vertex_error_is_identical_across_hash_seeds(tmp_path):
     graph = tmp_path / "k5.json"
-    graph.write_text(json.dumps(graph_to_json(gen_complete(5))))
+    graph.write_text(json.dumps(_graph_to_json(gen_complete(5))))
     region = tmp_path / "region.json"
     region.write_text(json.dumps({"sigma": ["3", "30", "20", "10", "40"]}))
     argv = ["action", str(graph), "--variant", "ghy", "--region", str(region)]

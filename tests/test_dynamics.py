@@ -18,14 +18,13 @@ from graphgrav import (
     newton_solve_teom,
     nogo_indicator,
     scale_setting,
-    setting_from_json,
-    setting_to_json,
     t1_next_ratios,
     t1_setting,
     two_progression_x,
     valid_t1_chain,
     verify_solution,
 )
+from graphgrav.cli import _setting_from_json, _setting_to_json
 from graphgrav.dynamics import is_tree
 from graphgrav.errors import (
     BadParams,
@@ -375,8 +374,8 @@ class TestHalfHalfEquivalence:
 def test_setting_json_round_trip():
     g = gen_tree(2, 2)
     s = constant_setting(g, 1.5)
-    doc = setting_to_json(s)
-    assert setting_from_json(doc).lengths == s.lengths
+    doc = _setting_to_json(s)
+    assert _setting_from_json(doc).lengths == s.lengths
 
 
 def test_is_tree():

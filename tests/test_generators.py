@@ -3,7 +3,6 @@ import pytest
 from graphgrav import (
     GeodesicTable,
     Matching,
-    Setting,
     build_graph,
     constant_setting,
     edge_key,

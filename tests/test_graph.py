@@ -1,14 +1,16 @@
 import gc
 import itertools
+import math
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from graphgrav import (
     GeodesicTable,
     HexRegionSpec,
+    Setting,
     action_plain,
     build_graph,
     edge_key,
@@ -30,7 +32,7 @@ from graphgrav.errors import (
     SelfLoop,
     UnknownVertex,
 )
-from graphgrav.graph import graph_from_json, graph_to_json
+from graphgrav.cli import _graph_from_json, _graph_to_json
 
 from conftest import connected_graphs, random_connected_graph
 
@@ -74,6 +76,17 @@ class TestBuildGraph:
         with pytest.raises(err):
             build_graph(["a", "b"], edges)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_one_length_rule(self, line3, bad):
+        # build_graph, with_lengths and Setting share one check and message
+        for make in (
+            lambda: build_graph(["a", "b"], [("b", "a", bad)]),
+            lambda: line3.with_lengths({("a", "b"): bad, ("b", "c"): 1.0}),
+            lambda: Setting({("a", "b"): bad}),
+        ):
+            with pytest.raises(NonpositiveLength, match=r"edge \('a', 'b'\) must be positive and finite"):
+                make()
+
     def test_rejects_disconnected(self):
         with pytest.raises(Disconnected):
             build_graph(["a", "b", "c", "d"], [("a", "b", 1.0), ("c", "d", 1.0)])
@@ -85,6 +98,25 @@ class TestBuildGraph:
     def test_with_lengths_demands_cover(self, line3):
         with pytest.raises(NotAnEdge):
             line3.with_lengths({("a", "b"): 2.0})
+
+
+class TestEdgeKey:
+    ids = st.one_of(
+        st.integers(-2, 2), st.sampled_from(["-1", "0", "1", "a"]), st.frozensets(st.integers(0, 2))
+    )
+
+    @given(ids, ids)
+    def test_either_order_gives_one_key(self, u, v):
+        # mixed types do not compare, and sets only partially
+        assume(u != v)
+        assert edge_key(u, v) == edge_key(v, u) in ((u, v), (v, u))
+        g = build_graph([u, v], [(v, u, 2.0)])
+        assert g.has_edge(u, v) and g.length(u, v) == 2.0
+        assert GeodesicTable(g).dist(u, v) == GeodesicTable(g).dist(v, u) == 2.0
+
+    @given(st.lists(st.text(max_size=3), min_size=2, max_size=2, unique=True))
+    def test_smaller_string_first(self, pair):
+        assert edge_key(*pair) == tuple(sorted(pair))
 
 
 class TestGeodesics:
@@ -142,7 +174,7 @@ def graphs_and_queries(draw):
 
 class TestLazyGeodesics:
     """Queries resume a paused search per source; every answer must be the
-    float that the fully drained search of the same source gives."""
+    float that a fresh table gives, whatever was asked before it."""
 
     @given(graphs_and_queries())
     @settings(max_examples=150, deadline=None)
@@ -154,17 +186,14 @@ class TestLazyGeodesics:
             if i == j:
                 assert got == 0.0
                 continue
-            # the first vertex of the pair's edge key is the source
-            source, target = edge_key(i, j)
-            assert got == GeodesicTable(g).row(source)[target]
-        for source in g.vertices:
-            assert geo.row(source) == GeodesicTable(g).row(source)
+            assert got == GeodesicTable(g).dist(i, j)
+        fresh = GeodesicTable(g)
+        for i, j in itertools.product(g.vertices, repeat=2):
+            assert geo.dist(i, j) == fresh.dist(i, j)
         with pytest.raises(UnknownVertex):
             geo.dist(g.vertices[0], "missing")
         with pytest.raises(UnknownVertex):
             geo.dist("missing", "missing")
-        with pytest.raises(UnknownVertex):
-            geo.row("missing")
 
     def test_table_is_not_a_reference_cycle(self, rng):
         # a paused search that held its table would leave every table to the
@@ -346,8 +375,8 @@ class TestRegions:
 
 
 def test_json_round_trip(triangle_112):
-    doc = graph_to_json(triangle_112)
-    g2 = graph_from_json(doc)
+    doc = _graph_to_json(triangle_112)
+    g2 = _graph_from_json(doc)
     assert g2.vertices == triangle_112.vertices
     assert set(g2.edges) == set(triangle_112.edges)
     for u, v in g2.edges:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -80,6 +81,17 @@ class TestWasserstein:
         object.__setattr__(bad, "mass", {"a": 0.5})
         with pytest.raises(UnbalancedMass):
             solve(line3, line3_geo, lop, bad)
+
+    @pytest.mark.parametrize("solve", [wasserstein, wasserstein_oracle])
+    def test_nan_mass_rejected(self, line3, line3_geo, solve):
+        # NaN fails every comparison, so it must fail the checks, not pass them
+        point = Distribution({"c": 1.0})
+        with pytest.raises(UnbalancedMass):
+            solve(line3, line3_geo, Distribution({"a": math.nan, "b": 1.0}), point)
+        unchecked = Distribution.__new__(Distribution)
+        object.__setattr__(unchecked, "mass", {"a": math.nan, "b": 1.0})
+        with pytest.raises(UnbalancedMass):
+            solve(line3, line3_geo, unchecked, point)
 
     @pytest.mark.parametrize("solve", [wasserstein, wasserstein_oracle])
     def test_unknown_support_rejected(self, line3, line3_geo, solve):
