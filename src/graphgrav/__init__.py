@@ -56,7 +56,6 @@ from .graph import (
     build_graph,
     edge_key,
     extract_region,
-    local_sums,
     sigma_edges,
 )
 from .search import SearchResult, extremize_action, newton_solve_teom

@@ -11,10 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .curvature import _require_edge, edge_curvatures, kappa_tree_closed
+from .curvature import edge_curvatures, kappa_tree_closed
 from .dynamics import _require_tree
 from .errors import NonpositiveInput, NonUniqueInwardEdge, NotComplete, NotHexRegion
-from .graph import GeodesicTable, Region, WeightedGraph, edge_key, local_sums, sigma_edges
+from .graph import GeodesicTable, Region, WeightedGraph, _require_edges, edge_key, sigma_edges
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ def _closed_form_parts(g, geo, region):
     }
     interior = 0.0
     for i in sorted(region.interior, key=repr):
-        c, d = local_sums(g, geo, i)
+        c, d, _ = geo.walk(i)
         interior += 2.0 - c * c / d
     return per_edge, interior
 
@@ -72,7 +72,7 @@ def action_ghy(g: WeightedGraph, region: Region) -> ActionReport:
     per_edge, total = _closed_form_parts(g, geo, region)
     for i in sorted(region.boundary_vertices, key=repr):
         _inward_edge(g, region, i)
-        c, d = local_sums(g, geo, i)
+        c, d, _ = geo.walk(i)
         total -= c * c / d
     return ActionReport(
         total=total,
@@ -90,16 +90,18 @@ def action_region_plain(g: WeightedGraph, region: Region) -> ActionReport:
 
     through their unique inward edge of length P."""
     _require_tree(g)
-    per_edge, total = _closed_form_parts(g, GeodesicTable(g), region)
+    geo = GeodesicTable(g)
+    per_edge, total = _closed_form_parts(g, geo, region)
     for i in sorted(region.boundary_vertices, key=repr):
         i0 = _inward_edge(g, region, i)
-        p_inv = 1.0 / g.length(i, i0)
         c_out = 0.0
         d_out = 0.0
-        for j in g.neighbors(i):
-            if j != i0:
-                c_out += 1.0 / g.length(i, j)
-                d_out += 1.0 / g.length(i, j) ** 2
+        for j, p in geo.walk(i)[2]:
+            if j == i0:
+                p_inv = 1.0 / p
+            else:
+                c_out += 1.0 / p
+                d_out += 1.0 / (p * p)
         total += boundary_term(p_inv, c_out, d_out)
     return ActionReport(
         total=total,
@@ -166,7 +168,7 @@ def ratio_bounds(g: WeightedGraph, geo: GeodesicTable, i):
     only required for degree >= 2; the upper bound is tight exactly when all
     incident geodesics are equal.
     """
-    c, d = local_sums(g, geo, i)
+    c, d, _ = geo.walk(i)
     ratio = c * c / d
     deg = g.degree(i)
     lower_ok = ratio > 1.0 if deg >= 2 else abs(ratio - 1.0) < 1e-12
@@ -187,17 +189,16 @@ def partial_action_complete(g: WeightedGraph, geo: GeodesicTable) -> float:
                 raise NotComplete(f"missing edge ({verts[a]!r}, {verts[b]!r})")
     total = 0.0
     for i in verts:
-        _, d = local_sums(g, geo, i)
-        for j in g.neighbors(i):
-            p = geo.dist(i, j)
+        _, d, pairs = geo.walk(i)
+        for _, p in pairs:
             total += 0.5 * (1.0 + 1.0 / (p * p) / d)
     return total
 
 
 def partial_cost(g: WeightedGraph, geo: GeodesicTable, i, j, t: float) -> float:
     """One-sided partial cost (1 - t - t P^-2/d_i) P for the edge i -> j."""
-    _require_edge(g, i, j)
+    _require_edges(g, [edge_key(i, j)])
     p = geo.dist(i, j)
-    _, d = local_sums(g, geo, i)
+    _, d, _ = geo.walk(i)
     return (1.0 - t - t / (p * p) / d) * p
 

@@ -14,6 +14,7 @@ caught: it ends the run with a traceback.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import random
@@ -140,7 +141,7 @@ def cmd_gen(args, inp):
     elif args.family == "cycle":
         g = gen_cycle(args.n)
     else:
-        g, region = gen_hex_region(HexRegionSpec(args.radius, args.margin))
+        g, region = gen_hex_region(HexRegionSpec(args.radius))
     if setting is None:
         if args.setting == "matching":
             m = find_perfect_matching(g)
@@ -280,18 +281,7 @@ def cmd_reproduce(args, inp):
         print(f"[{status}] {r.num:2d}  {r.name:<{width}}  {r.computed}")
     print(f"{sum(r.passed for r in rows)}/{len(rows)} criteria passed")
     if args.out:
-        doc = [
-            {
-                "num": r.num,
-                "name": r.name,
-                "passed": r.passed,
-                "computed": r.computed,
-                "expected": r.expected,
-                "note": r.note,
-            }
-            for r in rows
-        ]
-        _emit(doc, args.out)
+        _emit([dataclasses.asdict(r) for r in rows], args.out)
     return EXIT_OK if all_ok else EXIT_SEMANTIC
 
 
@@ -308,7 +298,6 @@ def build_parser():
     p.add_argument("--depth", type=int, default=3)
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--radius", type=int, default=2)
-    p.add_argument("--margin", type=int, default=2)
     p.add_argument(
         "--setting",
         choices=["constant", "matching", "half-half", "two-progression", "none"],

@@ -10,8 +10,8 @@ agree.  kappa_t is accumulated as sum(flow * (P - cost)) / P rather than
 
 from __future__ import annotations
 
-from .errors import NoConvergence, NotAnEdge
-from .graph import GeodesicTable, WeightedGraph, edge_key, local_sums
+from .errors import NoConvergence
+from .graph import GeodesicTable, WeightedGraph, _require_edges, edge_key
 from .transport import neighbor_distribution, wasserstein
 
 LIMIT_TOL = 1e-10
@@ -19,14 +19,9 @@ INITIAL_T = 0.25
 MAX_HALVINGS = 60
 
 
-def _require_edge(g, i, j):
-    if not g.has_edge(i, j):
-        raise NotAnEdge(f"({i!r}, {j!r}) is not an edge")
-
-
 def kappa_t(g: WeightedGraph, geo: GeodesicTable, i, j, t: float) -> float:
     """1 - W(t)/P for the edge between i and j."""
-    _require_edge(g, i, j)
+    _require_edges(g, [edge_key(i, j)])
     mu = neighbor_distribution(g, geo, i, t)
     nu = neighbor_distribution(g, geo, j, t)
     p = geo.dist(i, j)
@@ -59,10 +54,10 @@ def kappa_tree_closed(g: WeightedGraph, geo: GeodesicTable, i, j) -> float:
     Equals the transport limit on trees; on other graphs it is a lower bound
     for the transport value (the underlying plan is feasible, not optimal).
     """
-    _require_edge(g, i, j)
+    _require_edges(g, [edge_key(i, j)])
     p = geo.dist(i, j)
-    ci, di = local_sums(g, geo, i)
-    cj, dj = local_sums(g, geo, j)
+    ci, di, _ = geo.walk(i)
+    cj, dj, _ = geo.walk(j)
     return (2.0 / (p * p)) * (1.0 / di + 1.0 / dj) - (ci / di + cj / dj) / p
 
 

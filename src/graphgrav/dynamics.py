@@ -27,7 +27,7 @@ from .errors import (
     QNotOdd,
     RatioNotGreaterThanOne,
 )
-from .graph import Region, WeightedGraph, _check_length, edge_key
+from .graph import Region, WeightedGraph, _check_length, _require_edges, edge_key
 
 
 @dataclass(frozen=True)
@@ -155,6 +155,7 @@ def verify_solution(g: WeightedGraph, setting: Setting, tol: float = 1e-9) -> Eo
     keeps them all below tol times the power of two nearest the lengths'
     geometric mean, so it stays a solution under ``scale_setting``."""
     _require_tree(g)
+    _require_edges(g, setting.lengths)
     interior = interior_edges(g)
     lengths, k = _unit_scaled(setting.lengths)
     residual, _ = _tree_system(g, interior, (), lengths)
@@ -183,6 +184,7 @@ def nogo_indicator(g: WeightedGraph, region: Region, setting: Setting) -> float:
     (c_i/d_i)/P_ij - 1.  A negative value certifies that no bulk solution is
     compatible with the given boundary-incident lengths."""
     _require_tree(g)
+    _require_edges(g, setting.lengths)
     sigma = region.vertices
     boundary = sorted(region.boundary_vertices, key=repr)
     lengths, _ = _unit_scaled(setting.lengths)

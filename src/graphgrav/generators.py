@@ -293,20 +293,20 @@ def two_progression_setting(q: int, m: int, s: int, alpha: float, x: float, y: f
 # hexagonal lattice regions
 
 
+HEX_PADDING = 2
+
+
 @dataclass(frozen=True)
 class HexRegionSpec:
-    """Flower of hexagons of the given radius, padded by ``strong_margin``
+    """Flower of hexagons of the given radius, padded by ``HEX_PADDING``
     rings of constant-length lattice so the strong boundary condition can be
     imposed by construction."""
 
     radius: int
-    strong_margin: int = 2
 
     def __post_init__(self):
         if self.radius < 1:
             raise BadParams("radius must be >= 1")
-        if self.strong_margin < 2:
-            raise BadParams("strong_margin must be >= 2")
 
 
 def _hex_neighbors(v):
@@ -355,7 +355,7 @@ def gen_hex_region(spec: HexRegionSpec):
                 pendants.add(w)
     sigma = patch | pendants
     shell = set(sigma)
-    for _ in range(spec.strong_margin + 1):
+    for _ in range(HEX_PADDING + 1):
         grown = set(shell)
         for v in shell:
             grown.update(_hex_neighbors(v))

@@ -1,4 +1,4 @@
-"""Weighted graphs, geodesic distances, local inverse-length sums, and regions.
+"""Weighted graphs, geodesic distances and their vertex sums, and regions.
 
 Vertices are opaque hashable ids (strings in all JSON-facing paths).  Edges are
 undirected and stored under an order-normalized key.  All structures are
@@ -39,6 +39,13 @@ def _check_length(key, ell):
     and finite (NaN is neither)."""
     if not 0.0 < ell < math.inf:
         raise NonpositiveLength(f"length for edge {key!r} must be positive and finite, got {ell}")
+
+
+def _require_edges(g, keys):
+    """Raise NotAnEdge unless every key in ``keys`` is an edge's `edge_key`."""
+    for key in keys:
+        if key not in g._lengths:
+            raise NotAnEdge(f"{key!r} is not an edge")
 
 
 class WeightedGraph:
@@ -96,9 +103,10 @@ class WeightedGraph:
 
         ``new_lengths`` maps normalized edge keys (or a Setting-like object
         with a ``lengths`` attribute) to positive values; it must cover every
-        edge of the graph.
+        edge of the graph and name no other pair.
         """
         mapping = getattr(new_lengths, "lengths", new_lengths)
+        _require_edges(self, mapping)
         out = {}
         for key in self._lengths:
             if key not in mapping:
@@ -241,16 +249,6 @@ def cells_by_cost(cost):
     row and then column: the order of the transportation simplex's
     least-cost start."""
     return tuple(sorted((c, i, j) for i, row in enumerate(cost) for j, c in enumerate(row)))
-
-
-def local_sums(g: WeightedGraph, geo: GeodesicTable, i):
-    """Inverse and inverse-square sums of geodesic lengths to the neighbors of i.
-
-    Returns (sum of 1/P, sum of 1/P^2) over neighbors of i, where P is the
-    geodesic distance from i to the neighbor (at most the direct edge length).
-    """
-    inv, inv2, _ = geo.walk(i)
-    return inv, inv2
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ from .generators import (
     two_progression_setting,
     valid_t1_chain,
 )
-from .graph import GeodesicTable, build_graph, edge_key, extract_region, local_sums, sigma_edges
+from .graph import GeodesicTable, build_graph, edge_key, extract_region, sigma_edges
 from .search import newton_solve_teom
 from .transport import neighbor_distribution, wasserstein, wasserstein_oracle
 
@@ -268,8 +268,8 @@ def criterion_11() -> CriterionResult:
         k1, k2, k4 = (kappa_t(g, geo, u, v, tt) for tt in (0.1, 0.2, 0.4))
         ok &= k2 >= (2.0 * k1 + k4) / 3.0 - 1e-9
         p = geo.dist(u, v)
-        cu, du = local_sums(g, geo, u)
-        cv, dv = local_sums(g, geo, v)
+        cu, du, _ = geo.walk(u)
+        cv, dv, _ = geo.walk(v)
         for tt, kk in ((0.1, k1), (0.2, k2), (0.4, k4)):
             ok &= kk <= tt / p * (cu / du + cv / dv) + 1e-9
         for w in g.vertices:

@@ -15,7 +15,7 @@ import numpy as np
 from .action import action_plain
 from .dynamics import Setting, _require_tree, _tree_system, interior_edges
 from .errors import BadParams, NoFreeEdges, SingularJacobian
-from .graph import GeodesicTable, WeightedGraph, edge_key
+from .graph import GeodesicTable, WeightedGraph, _require_edges, edge_key
 
 LOG_LENGTH_LO = math.log(1e-6)
 LOG_LENGTH_HI = math.log(1e3)
@@ -44,10 +44,11 @@ def newton_solve_teom(
 ) -> SearchResult:
     """Damped Newton on the log-lengths of the non-fixed interior edges.
 
-    ``boundary`` must fix at least every non-interior edge; fixing interior
-    edges as well is allowed and leaves an overdetermined system, solved in
-    the least-squares sense.  Residuals of every interior edge must drop
-    below tol for convergence; the objective reported is the final maximum
+    ``boundary`` and ``init`` name edges of g only.  ``boundary`` must fix
+    at least every non-interior edge; fixing interior edges as well is
+    allowed and leaves an overdetermined system, solved in the
+    least-squares sense.  Residuals of every interior edge must drop below
+    tol for convergence; the objective reported is the final maximum
     absolute residual.
 
     Free lengths are confined to [1e-6, 1e3].  The truncated equations have
@@ -60,15 +61,15 @@ def newton_solve_teom(
     _require_tree(g)
     interior = [edge_key(u, v) for u, v in interior_edges(g)]
     interior_set = set(interior)
-    edge_keys = set(g.lengths())
-    for key in edge_keys:
+    _require_edges(g, [*boundary.lengths, *init.lengths])
+    for key in g.lengths():
         if key not in interior_set and key not in boundary:
             raise BadParams(f"boundary must fix non-interior edge {key!r}")
     free = [key for key in interior if key not in boundary]
     for key in free:
         if key not in init:
             raise BadParams(f"init must give a length for free edge {key!r}")
-    fixed = {key: boundary[key] for key in boundary.lengths if key in edge_keys}
+    fixed = dict(boundary.lengths)
 
     x0 = np.array([math.log(init[key]) for key in free], dtype=float)
     residual, jacobian = _tree_system(g, interior, free, fixed)
@@ -111,11 +112,8 @@ def _newton_run(residual, jacobian, x, tol):
     converged = bool(np.max(np.abs(res), initial=0.0) < tol)
     while not converged and iterations < MAX_NEWTON_ITER and x.size:
         jac = jacobian(x)
-        try:
-            if jac.shape[0] == jac.shape[1]:
-                step = np.linalg.solve(jac, -res)
-            else:
-                step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
+        try:  # numpy refuses a singular or a non-square system alike
+            step = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError as exc:
             try:
                 step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
@@ -172,7 +170,7 @@ def extremize_action(
         return lengths
 
     def value(x):
-        if np.any(x < LOG_LENGTH_LO) or np.any(x > LOG_LENGTH_HI):
+        if _outside_box(x):
             return 1e9
         g2 = g.with_lengths(lengths_at(x))
         geo = GeodesicTable(g2)

@@ -20,7 +20,6 @@ from graphgrav import (
     gen_hex_region,
     gen_tree,
     hex_strong_fixed_edges,
-    local_sums,
     matching_setting,
     partial_action_complete,
     partial_cost,
@@ -118,7 +117,7 @@ class TestGhy:
         g2 = g.with_lengths(s.lengths)
         geo = GeodesicTable(g2)
         for v in g2.vertices:
-            c, d = local_sums(g2, geo, v)
+            c, d = geo.walk(v)[:2]
             assert c * c / d == pytest.approx(1.0, abs=1e-3)
 
     def test_matching_dominates_random(self, rng):

@@ -322,6 +322,23 @@ class TestExitCodes:
         code, _ = run(capsys, "solve-eom", graph, boundary, "--init", str(init))
         assert code == 3
 
+    def test_setting_naming_a_non_edge_is_an_invariant_violation(self, tmp_path, capsys):
+        (tmp_path / "k3.json").write_text(json.dumps(_graph_to_json(gen_complete(3))))
+        setting = {"lengths": [{"u": "0", "v": "1", "len": 1.0}, {"u": "0", "v": "2", "len": 1.0},
+                               {"u": "1", "v": "2", "len": 1.0}, {"u": "0", "v": "9", "len": 1.0}]}
+        (tmp_path / "s.json").write_text(json.dumps(setting))
+        assert main(["action", str(tmp_path / "k3.json"), "--setting", str(tmp_path / "s.json")]) == 3
+        fixed = {"lengths": [{"u": "0", "v": "9", "len": 1.0}]}
+        (tmp_path / "fixed.json").write_text(json.dumps(fixed))
+        argv = [str(tmp_path / "k3.json"), "--objective", "min", "--restarts", "1"]
+        assert main(["search", *argv, "--fixed", str(tmp_path / "fixed.json")]) == 3
+        graph, boundary = _tree_boundary_files(tmp_path)[:2]
+        doc = json.loads((tmp_path / "boundary.json").read_text())
+        doc["lengths"].append({"u": "0", "v": "9", "len": 1.0})
+        (tmp_path / "boundary.json").write_text(json.dumps(doc))
+        assert main(["solve-eom", graph, boundary]) == 3
+        assert capsys.readouterr().err.count("NotAnEdge") == 3
+
     def test_oversized_tree_is_refused(self, capsys):
         assert main(["gen", "tree", "--depth", "60"]) == 3
         assert "TooLarge" in capsys.readouterr().err

@@ -11,7 +11,6 @@ from graphgrav import (
     kappa,
     kappa_t,
     kappa_tree_closed,
-    local_sums,
     sigma_edges,
     HexRegionSpec,
 )
@@ -34,8 +33,8 @@ class TestKappaT:
         g = gen_complete(3)
         geo = GeodesicTable(g)
         val = kappa_t(g, geo, "0", "1", 0.3)
-        c0, d0 = local_sums(g, geo, "0")
-        c1, d1 = local_sums(g, geo, "1")
+        c0, d0 = geo.walk("0")[:2]
+        c1, d1 = geo.walk("1")[:2]
         assert val <= 0.3 / geo.dist("0", "1") * (c0 / d0 + c1 / d1) + 1e-12
 
     def test_not_an_edge(self, line3, line3_geo):

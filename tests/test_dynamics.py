@@ -31,6 +31,7 @@ from graphgrav.errors import (
     NegativeDiscriminant,
     NonpositiveScale,
     NotATree,
+    NotAnEdge,
     QNotOdd,
     RatioNotGreaterThanOne,
 )
@@ -108,6 +109,17 @@ class TestResiduals:
         g = gen_complete(3)
         with pytest.raises(NotATree):
             verify_solution(g, constant_setting(g, 1.0))
+
+    def test_non_edge_rejected(self):
+        # a length on a non-edge would move the unit scale of the tolerance
+        # and pass this non-solution
+        g = gen_tree(2, 3)
+        lengths = constant_setting(g, 1.0).lengths
+        lengths[interior_edges(g)[0]] = 1.0 + 4e-9
+        assert not verify_solution(g, Setting(lengths)).is_solution
+        lengths[("x", "y")] = 2.0**200
+        with pytest.raises(NotAnEdge):
+            verify_solution(g, Setting(lengths))
 
     def test_max_min_exclusion(self, rng):
         # any interior edge strictly extremal among its neighbors has
@@ -271,6 +283,11 @@ class TestNogo:
     def test_short_inward_edge_positive(self):
         g, region, s = self._star(0.7, 1.0)
         assert nogo_indicator(g, region, s) > 0.0
+
+    def test_non_edge_rejected(self):
+        g, region, s = self._star(1.0, 1.0)
+        with pytest.raises(NotAnEdge):
+            nogo_indicator(g, region, Setting({**s.lengths, ("1", "2"): 1.0}))
 
 
 class TestHalfHalfFormulas:

@@ -195,10 +195,6 @@ class TestHexRegion:
             assert g.has_edge(a, b)
         assert len(set(cycle)) == 6
 
-    def test_strong_margin_validated(self):
-        with pytest.raises(BadParams):
-            HexRegionSpec(1, strong_margin=1)
-
     def test_strong_fixed_edges_leave_free_interior(self):
         g, region = gen_hex_region(HexRegionSpec(2))
         fixed = hex_strong_fixed_edges(g, region)

@@ -31,3 +31,47 @@ def test_finds_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def top_level_definitions(source):
+    """Names of the functions and classes a module defines at top level."""
+    return [
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+
+
+def referenced_names(source):
+    """Names a module reads, bare or as an attribute (``module.name``)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_finds_an_unreferenced_definition():
+    source = "def used():\n    pass\n\nclass Gone:\n    pass\n\nprint(used.__name__)\n"
+    defined = top_level_definitions(source)
+    assert [name for name in defined if name not in referenced_names(source)] == ["Gone"]
+
+
+def test_every_definition_is_referenced():
+    """A top-level function or class of the package that no module of src/,
+    tests/ or perfbench/ reads is dead; an export in __init__.py is not a
+    read."""
+    package = ROOT / "src" / "graphgrav"
+    readers = [*package.glob("*.py"), *(ROOT / "tests").glob("*.py")]
+    readers += (ROOT / "perfbench").rglob("*.py")
+    readers.remove(package / "__init__.py")
+    referenced = set().union(*(referenced_names(p.read_text()) for p in readers))
+    dead = [
+        f"{path.name}:{name}"
+        for path in sorted(package.glob("*.py"))
+        for name in top_level_definitions(path.read_text())
+        if name not in referenced
+    ]
+    assert dead == []

@@ -25,8 +25,8 @@ from graphgrav import (
     verify_solution,
 )
 from graphgrav.dynamics import _tree_system
-from graphgrav.errors import BadParams, NoFreeEdges, NotATree
-from graphgrav.search import LOG_LENGTH_HI, LOG_LENGTH_LO
+from graphgrav.errors import BadParams, NoFreeEdges, NotAnEdge, NotATree
+from graphgrav.search import LOG_LENGTH_HI, LOG_LENGTH_LO, _newton_run
 
 from conftest import teom_residual
 
@@ -194,6 +194,32 @@ class TestNewton:
         g = gen_complete(4)
         with pytest.raises(NotATree):
             newton_solve_teom(g, Setting({}), Setting({}))
+
+    @pytest.mark.parametrize("which", ["boundary", "init"])
+    def test_non_edge_rejected(self, which):
+        g = gen_tree(2, 2)
+        boundary, interior = leaf_boundary(g)
+        settings = {"boundary": boundary, "init": Setting({key: 1.0 for key in interior})}
+        settings[which] = Setting({**settings[which].lengths, ("1", "2"): 1.0})
+        with pytest.raises(NotAnEdge):
+            newton_solve_teom(g, settings["boundary"], settings["init"])
+
+    def test_singular_jacobian_steps_by_least_squares(self):
+        # r = (s - 1, 2s - 1) with s = x0 + x1: the Jacobian [[1, 1], [2, 2]]
+        # is singular, and the least-squares step sets s = 3/5 split evenly;
+        # the next least-squares step is zero, so the run stops unconverged
+        def residual(x):
+            s = x[0] + x[1]
+            return np.array([s - 1.0, 2.0 * s - 1.0])
+
+        def jacobian(x):
+            return np.array([[1.0, 1.0], [2.0, 2.0]])
+
+        x, worst, converged, iterations = _newton_run(residual, jacobian, np.zeros(2), 1e-12)
+        assert x == pytest.approx([0.3, 0.3])
+        assert worst == pytest.approx(0.4)
+        assert not converged
+        assert iterations == 2
 
     @pytest.mark.parametrize("start", [1e-7, 2e3])
     def test_start_outside_box_rejected(self, start):
