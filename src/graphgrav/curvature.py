@@ -27,8 +27,8 @@ def kappa_t(g: WeightedGraph, geo: GeodesicTable, i, j, t: float) -> float:
     p = geo.dist(i, j)
     plan = wasserstein(g, geo, mu, nu)
     acc = 0.0
-    for (a, b), f in plan.flows.items():
-        acc += f * (p - geo.dist(a, b))
+    for cell, f in plan.flows.items():
+        acc += f * (p - plan.unit_costs[cell])
     return acc / p
 
 

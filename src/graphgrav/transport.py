@@ -12,10 +12,12 @@ with its least-cost cell order, from the geodesic table, which computes
 them once: supports and costs do not depend on t, so the solves of one
 edge's limit share one cost block.
 
-The simplex knows its basis tree in one place, ``_basis_tree``: each pivot
-builds it and walks it once from row 0, which gives the potentials for
-Bland pricing and each node's parent and depth, from which the entering
-cell's cycle is read.  Costs may be negative.
+The simplex keeps its basis tree across pivots.  One walk, ``_hang``, sets
+each node's potential for Bland pricing along its tree path from row 0, and
+its parent and depth, from which the entering cell's cycle is read.  It
+runs once from row 0 at the start and, after each pivot, only over the
+subtree the leaving cell cut off, re-hung from the entering cell.  Costs may
+be negative.
 """
 
 from __future__ import annotations
@@ -57,9 +59,12 @@ class Distribution:
 
 @dataclass(frozen=True)
 class TransportPlan:
-    """Optimal flows between two distributions and their total cost."""
+    """Optimal flows between two distributions, the cost per unit of mass of
+    each (keyed like the flows, read from the cost block) and their total
+    cost."""
 
     flows: dict
+    unit_costs: dict
     cost: float
 
 
@@ -88,12 +93,15 @@ def wasserstein(g: WeightedGraph, geo: GeodesicTable, mu: Distribution, nu: Dist
     cost, cells = geo.cost_block(sources, sinks)
     flow, _, _ = _transportation_simplex(supply, demand, cost, cells)
     flows = {}
+    unit_costs = {}
     total = 0.0
     for (a, b), f in flow.items():
         if f > FLOW_TOL:
-            flows[(sources[a], sinks[b])] = f
+            cell = (sources[a], sinks[b])
+            flows[cell] = f
+            unit_costs[cell] = cost[a][b]
             total += f * cost[a][b]
-    return TransportPlan(flows=flows, cost=total)
+    return TransportPlan(flows=flows, unit_costs=unit_costs, cost=total)
 
 
 def wasserstein_oracle(g: WeightedGraph, geo: GeodesicTable, mu: Distribution, nu: Distribution) -> float:
@@ -164,47 +172,53 @@ def _least_cost_start(supply, demand, cells):
     return flow, basis, scale
 
 
-def _basis_tree(basis, cost, m, n):
-    """Build the basis tree and walk it once, from row 0.
+def _hang(adj, pot, up, depth, top):
+    """Walk the basis tree below ``top``, whose potential, depth and edge up
+    are set, and set those of every node below it.
 
     Nodes are the rows 0..m-1 and the columns m..m+n-1; basic cell (i, j)
-    is the edge between i and m + j.  Returns the potentials, rows first,
-    fixed by pot[0] = 0 and pot[i] + pot[m + j] = cost[i][j] on every basic
-    cell, and each node's depth and its edge up the tree as (parent, cell).
+    is the edge between i and m + j, and ``adj`` lists each node's edges as
+    (other node, cost[i][j], (i, j)).  Each potential comes from its
+    parent's, pot[x] + pot[y] = cost[i][j], along the node's unique tree
+    path from row 0.
     """
-    adj = [[] for _ in range(m + n)]
-    for i, j in basis:
-        adj[i].append((m + j, i, j))
-        adj[m + j].append((i, i, j))
-    pot = [None] * (m + n)
-    pot[0] = 0 * abs(cost[0][0])  # a zero of the costs' own type
-    up = [None] * (m + n)
-    depth = [0] * (m + n)
-    stack = [0]
+    stack = [top]
     while stack:
         x = stack.pop()
-        for y, i, j in adj[x]:
-            if pot[y] is None:
-                pot[y] = cost[i][j] - pot[x]
-                up[y] = (x, (i, j))
+        parent = up[x][0]
+        for y, c, cell in adj[x]:
+            if y != parent:
+                pot[y] = c - pot[x]
+                up[y] = (x, cell)
                 depth[y] = depth[x] + 1
                 stack.append(y)
-    return pot, up, depth
 
 
 def _transportation_simplex(supply, demand, cost, cells):
     m, n = len(supply), len(demand)
     flow, basis, scale = _least_cost_start(supply, demand, cells)
     tol = 1e-12 * scale
+    # the basis tree, kept across pivots: potentials rows first, fixed by
+    # pot[0] = 0, and each node's depth and edge up as (parent, cell)
+    adj = [[] for _ in range(m + n)]
+    for cell in basis:
+        i, j = cell
+        adj[i].append((m + j, cost[i][j], cell))
+        adj[m + j].append((i, cost[i][j], cell))
+    pot = [None] * (m + n)
+    pot[0] = 0 * abs(cost[0][0])  # a zero of the costs' own type
+    up = [(None, None)] * (m + n)
+    depth = [0] * (m + n)
+    _hang(adj, pot, up, depth, 0)
     for _ in range(MAX_PIVOTS):
-        pot, up, depth = _basis_tree(basis, cost, m, n)
         u, v = pot[:m], pot[m:]
         enter = None
         # Bland's rule: first improving cell in a fixed scan order; a basic
         # cell prices at 0 up to rounding, far above -tol, so it never enters
         for i in range(m):
+            row, ui = cost[i], u[i]
             for j in range(n):
-                if cost[i][j] - u[i] - v[j] < -tol:
+                if row[j] - ui - v[j] < -tol:
                     enter = (i, j)
                     break
             if enter:
@@ -226,7 +240,7 @@ def _transportation_simplex(supply, demand, cost, cells):
         cycle = [enter, *from_row, *reversed(from_col)]
         givers = cycle[1::2]
         theta = min(flow[c] for c in givers)
-        leave = min((c for c in givers if flow[c] <= theta), key=lambda c: c)
+        leave = min(c for c in givers if flow[c] <= theta)
         for k, c in enumerate(cycle):
             if k == 0:
                 flow[c] = theta  # entering cells are non-basic and carry no flow
@@ -236,6 +250,19 @@ def _transportation_simplex(supply, demand, cost, cells):
                 flow[c] = flow[c] + theta
         basis[basis.index(leave)] = enter
         del flow[leave]
+        i, j = leave
+        adj[i].remove((m + j, cost[i][j], leave))
+        adj[m + j].remove((i, cost[i][j], leave))
+        i, j = enter
+        adj[i].append((m + j, cost[i][j], enter))
+        adj[m + j].append((i, cost[i][j], enter))
+        # the leaving cell cut off the subtree that holds the entering
+        # cell's endpoint on its side of the cycle: hang it from the other
+        top, parent = (i, m + j) if leave in from_row else (m + j, i)
+        pot[top] = cost[i][j] - pot[parent]
+        up[top] = (parent, enter)
+        depth[top] = depth[parent] + 1
+        _hang(adj, pot, up, depth, top)
     raise RuntimeError("transportation simplex failed to terminate")
 
 

@@ -8,6 +8,7 @@ from graphgrav import (
     Distribution,
     GeodesicTable,
     build_graph,
+    gen_complete,
     gen_tree,
     neighbor_distribution,
     wasserstein,
@@ -160,6 +161,41 @@ class TestWasserstein:
             assert cost >= geo.dist(u, v) - t * (cu / du + cv / dv) - 1e-9
 
 
+def assert_spanning_tree(cells, m, n):
+    """m + n - 1 distinct cells and no cycle among rows 0..m-1 and columns
+    m..m+n-1: a spanning tree."""
+    assert len(cells) == len(set(cells)) == m + n - 1
+    root = list(range(m + n))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for i, j in cells:
+        a, b = find(i), find(m + j)
+        assert a != b
+        root[a] = b
+
+
+def tree_potentials(cells, cost, m, n):
+    """Potentials of a basis tree from a fresh walk from row 0: pot[0] = 0
+    and pot[i] + pot[m + j] = cost[i][j] on every cell."""
+    adj = [[] for _ in range(m + n)]
+    for i, j in cells:
+        adj[i].append((m + j, cost[i][j]))
+        adj[m + j].append((i, cost[i][j]))
+    pot = {0: 0}
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        for y, c in adj[x]:
+            if y not in pot:
+                pot[y] = c - pot[x]
+                stack.append(y)
+    return [pot[x] for x in range(m)], [pot[x] for x in range(m, m + n)]
+
+
 class TestExactSimplex:
     """Fraction masses with small integer costs (many ties) or Fraction
     costs, negative ones included: the start, every pivot and the potentials
@@ -183,11 +219,12 @@ class TestExactSimplex:
         flow, u, v = _transportation_simplex(supply, demand, cost, cells_by_cost(cost))
         assert all(isinstance(f, Fraction) for f in flow.values() if f)
         self._assert_marginals(flow, supply, demand)
+        assert_spanning_tree(list(flow), len(supply), len(demand))
         for i in range(len(supply)):
             for j in range(len(demand)):
                 reduced = cost[i][j] - u[i] - v[j]
                 assert reduced >= 0
-                if flow.get((i, j)):
+                if (i, j) in flow:  # every basic cell, zero-flow ones too
                     assert reduced == 0
         return u, v
 
@@ -202,18 +239,7 @@ class TestExactSimplex:
             cost = [[rng.randint(0, 5) for _ in range(n)] for _ in range(m)]
 
             start, basis, _ = _least_cost_start(supply, demand, cells_by_cost(cost))
-            assert len(basis) == len(set(basis)) == m + n - 1
-            root = list(range(m + n))  # rows 0..m-1, columns m..m+n-1
-
-            def find(x):
-                while root[x] != x:
-                    x = root[x]
-                return x
-
-            for i, j in basis:  # m + n - 1 cells and no cycle: a spanning tree
-                a, b = find(i), find(m + j)
-                assert a != b
-                root[a] = b
+            assert_spanning_tree(basis, m, n)
             self._assert_marginals(start, supply, demand)
 
             self._assert_optimal(supply, demand, cost)
@@ -240,23 +266,62 @@ class TestExactSimplex:
             assert all(isinstance(p, Fraction) for p in u + v)
 
 
+def float_problem(rng, m, n):
+    """Float masses on m sources and n sinks with equal totals, and float
+    costs in [-3, 5]."""
+    supply = [rng.uniform(0.1, 1.0) for _ in range(m)]
+    demand = [rng.uniform(0.1, 1.0) for _ in range(n)]
+    total = sum(supply)
+    demand = [b * total / sum(demand) for b in demand]
+    return supply, demand, [[rng.uniform(-3.0, 5.0) for _ in range(n)] for _ in range(m)]
+
+
 def test_negative_float_costs_match_shifted_min_cost_flow():
     # the flow oracle needs costs >= 0; shifting every cost by s adds s per
     # unit of mass and leaves the optimal plan unchanged
     rng = random.Random("simplex:negative-costs")
     for _ in range(60):
         m, n = rng.choice([(1, 9), (9, 1), (9, 8), (rng.randint(1, 7), rng.randint(1, 7))])
-        supply = [rng.uniform(0.1, 1.0) for _ in range(m)]
-        demand = [rng.uniform(0.1, 1.0) for _ in range(n)]
+        supply, demand, cost = float_problem(rng, m, n)
         total = sum(supply)
-        demand = [b * total / sum(demand) for b in demand]
-        cost = [[rng.uniform(-3.0, 5.0) for _ in range(n)] for _ in range(m)]
         flow, _, _ = _transportation_simplex(supply, demand, cost, cells_by_cost(cost))
         simplex_cost = sum(f * cost[i][j] for (i, j), f in flow.items())
         shift = -min(min(row) for row in cost)
         arcs = [(i, m + j, cost[i][j] + shift) for i in range(m) for j in range(n)]
         shifted, _, _ = _min_cost_flow(m + n, arcs, supply + [-b for b in demand])
         assert simplex_cost == pytest.approx(shifted - shift * total, rel=1e-10)
+
+
+class TestBasisPotentials:
+    """The potentials the simplex returns are exactly those of a fresh walk
+    of its returned basis tree from row 0, after however many pivots."""
+
+    @staticmethod
+    def _assert_walked(supply, demand, cost, cells):
+        m, n = len(supply), len(demand)
+        flow, u, v = _transportation_simplex(supply, demand, cost, cells)
+        assert_spanning_tree(list(flow), m, n)
+        assert (u, v) == tree_potentials(list(flow), cost, m, n)
+
+    @pytest.mark.parametrize("m, n", [(1, 9), (9, 1), (9, 8)])
+    def test_float_problems(self, m, n):
+        rng = random.Random(f"potentials:{m}x{n}")
+        for _ in range(40):
+            supply, demand, cost = float_problem(rng, m, n)
+            self._assert_walked(supply, demand, cost, cells_by_cost(cost))
+
+    def test_complete_graph_blocks(self):
+        rng = random.Random("potentials:K8")
+        base = gen_complete(8)
+        for _ in range(3):
+            g = base.with_lengths({key: rng.uniform(0.5, 2.0) for key in base.edges})
+            geo = GeodesicTable(g)
+            for x, y in g.edges:
+                for t in (0.9, 1e-3):
+                    mu = neighbor_distribution(g, geo, x, t)
+                    nu = neighbor_distribution(g, geo, y, t)
+                    cost, cells = geo.cost_block(mu.support, nu.support)
+                    self._assert_walked([mu(a) for a in mu.support], [nu(b) for b in nu.support], cost, cells)
 
 
 class TestOracle:
