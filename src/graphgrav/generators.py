@@ -6,7 +6,6 @@ two-progression settings.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass
 
 from .dynamics import Setting, t1_next_ratios
@@ -19,42 +18,26 @@ from .errors import (
 )
 from .graph import Region, WeightedGraph, build_graph, edge_key, extract_region
 
-_TreeShape = namedtuple("_TreeShape", "vertices edges parent children")
-
 MAX_TREE_VERTICES = 100_000
 
 
-def _tree_shape(q: int, depth: int) -> _TreeShape:
-    """Rooted truncation of the degree-(q+1) tree, breadth-first ids.
-    Raises TooLarge above MAX_TREE_VERTICES, before building anything."""
+def _tree_edges(q: int, depth: int) -> list:
+    """Edges of the gen_tree(q, depth) truncation as (parent, child, k) in
+    breadth-first order, k being the child's index among its parent's
+    children.  Ids are breadth-first: the root "0" has children 1..q+1 and
+    vertex v >= 1 has children q+2+(v-1)q .. q+1+vq.  Raises TooLarge above
+    MAX_TREE_VERTICES, before building anything."""
     count, ring = 1, q + 1
     for _ in range(depth):
         count += ring
         if count > MAX_TREE_VERTICES:
             raise TooLarge(f"tree truncation is capped at {MAX_TREE_VERTICES} vertices")
         ring *= q
-    root = "0"
-    vertices = [root]
-    parent = {root: None}
-    children = {root: []}
-    edges = []
-    frontier = [root]
-    counter = 1
-    for _ in range(depth):
-        nxt = []
-        for v in frontier:
-            want = q + 1 if v == root else q
-            for _ in range(want):
-                w = str(counter)
-                counter += 1
-                vertices.append(w)
-                parent[w] = v
-                children[v].append(w)
-                children[w] = []
-                edges.append((v, w))
-                nxt.append(w)
-        frontier = nxt
-    return _TreeShape(vertices, edges, parent, children)
+    edges = [("0", str(w), w - 1) for w in range(1, q + 2)]
+    for w in range(q + 2, count):
+        v, k = divmod(w - 2, q)
+        edges.append((str(v), str(w), k))
+    return edges
 
 
 def gen_tree(q: int, depth: int) -> WeightedGraph:
@@ -65,8 +48,8 @@ def gen_tree(q: int, depth: int) -> WeightedGraph:
     """
     if q < 1 or depth < 1:
         raise BadParams("need q >= 1 and depth >= 1")
-    shape = _tree_shape(q, depth)
-    return build_graph(shape.vertices, [(u, v, 1.0) for u, v in shape.edges])
+    edges = _tree_edges(q, depth)
+    return build_graph(["0"] + [w for _, w, _ in edges], [(v, w, 1.0) for v, w, _ in edges])
 
 
 def gen_complete(n: int) -> WeightedGraph:
@@ -182,8 +165,6 @@ def valid_t1_chain(r0: float, picks) -> list:
     each step uses.
     """
     pair = t1_next_ratios(r0)
-    if len(pair) == 1:
-        pair = (pair[0], pair[0])
     return [pair[p] for p in picks]
 
 
@@ -225,23 +206,14 @@ def half_half_setting(q: int, depth: int, ratios) -> Setting:
         inv.append(inv[-1] * r)
     level_len = {n: 1.0 / inv[k] for k, n in enumerate(range(-depth, depth))}
 
-    shape = _tree_shape(q, depth)
     half = (q + 1) // 2
     level = {"0": 0}
-    for v in shape.vertices:
-        kids = shape.children[v]
-        if not kids:
-            continue
-        if v == "0":
-            n_up = half
-        else:
-            went_up = level[v] > level[shape.parent[v]]
-            n_up = half if went_up else half - 1
-        for k, w in enumerate(kids):
-            level[w] = level[v] + (1 if k < n_up else -1)
+    went_up = {"0": True}  # the root counts as reached by a step up
     lengths = {}
-    for u, v in shape.edges:
-        lengths[edge_key(u, v)] = level_len[min(level[u], level[v])]
+    for v, w, k in _tree_edges(q, depth):
+        went_up[w] = k < (half if went_up[v] else half - 1)
+        level[w] = level[v] + (1 if went_up[w] else -1)
+        lengths[edge_key(v, w)] = level_len[min(level[v], level[w])]
     return Setting(lengths)
 
 
@@ -267,25 +239,20 @@ def two_progression_setting(q: int, m: int, s: int, alpha: float, x: float, y: f
         "a": (1.0 / y, "ay"),
         "ay": (float(y), "a"),
     }
-    shape = _tree_shape(q, depth)
     scale = {"0": 1.0}
     spent = {"0": None}  # class slot used up by the parent edge
     lengths = {}
-    for v in shape.vertices:
-        kids = shape.children[v]
-        if not kids:
-            continue
-        quota = {"u": m, "x": m, "a": s, "ay": s}
-        if spent[v] is not None:
-            quota[spent[v]] -= 1
-        order = [cls for cls in ("u", "x", "a", "ay") for _ in range(quota[cls])]
-        if len(order) != len(kids):
-            raise InconsistentParams("class quota does not match child count")
-        for cls, w in zip(order, kids):
-            lengths[edge_key(v, w)] = scale[v] * rel[cls]
-            factor, occupied = step[cls]
-            scale[w] = scale[v] * factor
-            spent[w] = occupied
+    for v, w, k in _tree_edges(q, depth):
+        if k == 0:
+            quota = {"u": m, "x": m, "a": s, "ay": s}
+            if spent[v] is not None:
+                quota[spent[v]] -= 1
+            order = [cls for cls in ("u", "x", "a", "ay") for _ in range(quota[cls])]
+        cls = order[k]
+        lengths[edge_key(v, w)] = scale[v] * rel[cls]
+        factor, occupied = step[cls]
+        scale[w] = scale[v] * factor
+        spent[w] = occupied
     return Setting(lengths)
 
 

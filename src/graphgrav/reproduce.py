@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from dataclasses import dataclass
 
 from .action import action_ghy, action_plain, partial_action_complete, ratio_bounds, tree_action_hex
@@ -27,6 +26,7 @@ from .dynamics import (
 from .errors import GraphGravError
 from .generators import (
     HexRegionSpec,
+    _tree_edges,
     constant_setting,
     find_perfect_matching,
     gen_complete,
@@ -67,13 +67,8 @@ def _binary_tree_and_region():
     of depth at most 2, the set-up of criteria 13 and 14."""
     g = gen_tree(2, 3)
     depth = {"0": 0}
-    queue = deque(["0"])
-    while queue:
-        v = queue.popleft()
-        for w in g.neighbors(v):
-            if w not in depth:
-                depth[w] = depth[v] + 1
-                queue.append(w)
+    for v, w, _ in _tree_edges(2, 3):
+        depth[w] = depth[v] + 1
     return g, depth, extract_region(g, [v for v in g.vertices if depth[v] <= 2])
 
 

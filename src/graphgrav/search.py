@@ -155,9 +155,9 @@ def extremize_action(
     every edge is free the best setting is rescaled to the geometric mean
     closest to 1 that keeps every length inside the box.
     """
-    from scipy import optimize
     if objective not in ("max", "min"):
         raise BadParams(f"objective must be 'max' or 'min', got {objective}")
+    from scipy import optimize
     fixed_map = dict(fixed.lengths) if fixed is not None else {}
     free = [key for key in g.edges if key not in fixed_map]
     if not free:

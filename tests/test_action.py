@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -239,6 +240,16 @@ class TestHexTreeAction:
         region = extract_region(g, ball(g, "0", 1))
         with pytest.raises(NotHexRegion):
             tree_action_hex(g, GeodesicTable(g), region)
+
+    def test_rejects_boundary_vertex_with_two_inward_edges(self):
+        # without one pendant, the perimeter vertex it hung from becomes a
+        # boundary vertex with its two patch neighbours inside
+        g, region = gen_hex_region(HexRegionSpec(1))
+        pendant = min(region.boundary_vertices)
+        (v,) = [w for w in g.neighbors(pendant) if w in region.vertices]
+        cut = extract_region(g, region.vertices - {pendant})
+        with pytest.raises(NotHexRegion, match=re.escape(f"{v!r} has 2 edges inside")):
+            tree_action_hex(g, GeodesicTable(g), cut)
 
 
 class TestBounds:

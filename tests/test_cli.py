@@ -10,7 +10,10 @@ import pytest
 import graphgrav
 from graphgrav import (
     HexRegionSpec,
+    action_ghy,
+    action_region_plain,
     edge_key,
+    extract_region,
     gen_complete,
     gen_cycle,
     gen_hex_region,
@@ -162,6 +165,24 @@ class TestGenAndVerify:
         lengths = {row["len"] for row in doc["setting"]["lengths"]}
         assert len(lengths) == 4  # one value per level transition
 
+    def test_complete_matching_setting(self, capsys):
+        code, out = run(capsys, "gen", "complete", "--n", "4", "--setting", "matching", "--eps", "0.01")
+        assert code == 0
+        rows = json.loads(out)["setting"]["lengths"]
+        assert sorted(row["len"] for row in rows) == [0.01, 0.01, 1.0, 1.0, 1.0, 1.0]
+        short = [(row["u"], row["v"]) for row in rows if row["len"] == 0.01]
+        assert len({v for edge in short for v in edge}) == 4  # disjoint edges
+
+    def test_odd_cycle_has_no_matching(self, capsys):
+        assert main(["gen", "cycle", "--n", "5", "--setting", "matching"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "no perfect matching" in captured.err
+
+    def test_half_half_needs_a_tree(self, capsys):
+        assert main(["gen", "complete", "--setting", "half-half"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "trees only" in captured.err
+
 
 class TestActionCommand:
     def test_plain(self, tmp_path, capsys):
@@ -174,6 +195,34 @@ class TestActionCommand:
     def test_ghy_needs_region(self, tmp_path, capsys):
         code, _ = run(capsys, "action", write_path3(tmp_path), "--variant", "ghy")
         assert code == 2
+
+    def test_tree_hex_on_generated_region(self, tmp_path, capsys):
+        _, out = run(capsys, "gen", "hex", "--radius", "1")
+        doc = json.loads(out)
+        (tmp_path / "g.json").write_text(json.dumps(doc["graph"]))
+        (tmp_path / "r.json").write_text(json.dumps(doc["region"]))
+        code, out = run(
+            capsys, "action", str(tmp_path / "g.json"),
+            "--variant", "tree-hex", "--region", str(tmp_path / "r.json"),
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["closed_form"] == pytest.approx(doc["total"], abs=1e-9)
+
+    @pytest.mark.parametrize("variant, action", [("ghy", action_ghy), ("region-plain", action_region_plain)])
+    def test_region_variants_on_generated_tree(self, tmp_path, capsys, variant, action):
+        _, out = run(capsys, "gen", "tree", "--q", "2", "--depth", "3")
+        graph = json.loads(out)["graph"]
+        sigma = [str(v) for v in range(10)]  # breadth-first ids: depth <= 2
+        (tmp_path / "g.json").write_text(json.dumps(graph))
+        (tmp_path / "r.json").write_text(json.dumps({"sigma": sigma}))
+        code, out = run(
+            capsys, "action", str(tmp_path / "g.json"),
+            "--variant", variant, "--region", str(tmp_path / "r.json"),
+        )
+        assert code == 0
+        g = gen_tree(2, 3)
+        assert json.loads(out)["total"] == action(g, extract_region(g, sigma)).total
 
 
 class TestSolveAndBounds:
@@ -252,6 +301,10 @@ def _c4_file(tmp_path):
     return [str(tmp_path / "c4.json"), "--objective", "min", "--restarts", "1"]
 
 
+def _no_files(tmp_path):
+    return []
+
+
 @pytest.mark.parametrize(
     "command, inputs, extra",
     [
@@ -261,8 +314,15 @@ def _c4_file(tmp_path):
         ("verify-eom", _half_half_files, []),
         ("solve-eom", _tree_boundary_files, []),
         ("search", _c4_file, []),
+        ("gen", _no_files, ["tree", "--setting", "two-progression"]),
+        ("gen", _no_files, ["tree", "--q", "3", "--setting", "half-half"]),
+        ("gen", _no_files, ["hex", "--radius", "2"]),
+        ("gen", _no_files, ["complete", "--n", "4", "--setting", "matching"]),
     ],
-    ids=["action", "curvature", "curvature-t", "verify-eom", "solve-eom", "search"],
+    ids=[
+        "action", "curvature", "curvature-t", "verify-eom", "solve-eom", "search",
+        "gen-two-progression", "gen-half-half", "gen-hex", "gen-matching",
+    ],
 )
 def test_output_is_identical_across_hash_seeds(tmp_path, command, inputs, extra):
     # any set-ordered iteration would show up in the output

@@ -320,6 +320,10 @@ class TestHalfHalfFormulas:
         with pytest.raises(QNotOdd):
             geometric_half_half_stats(2, 1.0)
 
+    def test_rejects_nonpositive_ratio(self):
+        with pytest.raises(NonpositiveScale):
+            geometric_half_half_stats(1, 0.0)
+
     def test_invariant_under_ratio_inversion(self):
         k1, r1 = geometric_half_half_stats(3, 2.0)
         k2, r2 = geometric_half_half_stats(3, 0.5)
@@ -334,6 +338,10 @@ class TestTwoProgression:
 
     def test_constant_embeds(self):
         assert 1.0 in [pytest.approx(r) for r in two_progression_x(1.0, 1.0)]
+
+    def test_rejects_nonpositive_alpha(self):
+        with pytest.raises(NonpositiveScale):
+            two_progression_x(0.0, 3.0)
 
     @given(
         st.floats(min_value=0.2, max_value=2.0),

@@ -274,6 +274,10 @@ class TestHalfHalf:
         with pytest.raises(InvalidRatioChain):
             half_half_setting(3, 3, [2.0, 3.0, 2.5, 2.0, 3.0])
 
+    def test_rejects_depth_zero(self):
+        with pytest.raises(BadParams):
+            half_half_setting(3, 0, 2.0)
+
 
 class TestTwoProgression:
     def x_ref(self):
@@ -312,6 +316,15 @@ class TestTwoProgression:
     def test_rejects_inconsistent_counts(self):
         with pytest.raises(InconsistentParams):
             two_progression_setting(3, 2, 1, 0.25, 0.5, 3.0, 3)
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.25])
+    def test_rejects_nonpositive_alpha(self, alpha):
+        with pytest.raises(InconsistentParams, match="positive"):
+            two_progression_setting(3, 1, 1, alpha, 0.5, 3.0, 3)
+
+    def test_rejects_depth_zero(self):
+        with pytest.raises(BadParams):
+            two_progression_setting(3, 1, 1, 0.25, self.x_ref(), 3.0, 0)
 
     def test_covers_all_edges_positively(self):
         s = two_progression_setting(3, 1, 1, 0.25, self.x_ref(), 3.0, 3)

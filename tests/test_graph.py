@@ -86,6 +86,14 @@ class TestBuildGraph:
             with pytest.raises(NonpositiveLength, match=r"edge \('a', 'b'\) must be positive and finite"):
                 make()
 
+    def test_rejects_no_vertices(self):
+        with pytest.raises(EmptyRegion, match="at least one vertex"):
+            build_graph([], [])
+
+    def test_neighbors_of_unknown_vertex(self, line3):
+        with pytest.raises(UnknownVertex):
+            line3.neighbors("z")
+
     def test_rejects_disconnected(self):
         with pytest.raises(Disconnected):
             build_graph(["a", "b", "c", "d"], [("a", "b", 1.0), ("c", "d", 1.0)])

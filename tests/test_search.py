@@ -119,6 +119,21 @@ def test_import_leaves_scipy_optimize_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_unknown_objective_is_refused_before_scipy_loads():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(graphgrav.__file__)))
+    code = (
+        "import sys, graphgrav\n"
+        "try:\n"
+        "    graphgrav.extremize_action(graphgrav.gen_complete(3), None, 'median')\n"
+        "except graphgrav.errors.BadParams as err:\n"
+        "    print(err, 'scipy.optimize' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "objective must be 'max' or 'min', got median False"
+
+
 class TestNewton:
     def test_constant_boundary_gives_constant(self):
         g = gen_tree(2, 3)

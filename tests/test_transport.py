@@ -198,8 +198,9 @@ def tree_potentials(cells, cost, m, n):
 
 class TestExactSimplex:
     """Fraction masses with small integer costs (many ties) or Fraction
-    costs, negative ones included: the start, every pivot and the potentials
-    stay exact, so feasibility and optimality hold exactly.  Shapes with one
+    costs, negative ones included, and float masses in eighths with
+    integer-valued costs: the start, every pivot and the potentials stay
+    exact, so feasibility and optimality hold exactly.  Shapes with one
     short side give deep, unbalanced basis trees."""
 
     @staticmethod
@@ -209,6 +210,13 @@ class TestExactSimplex:
         return [Fraction(x, sum(w)) for x in w]
 
     @staticmethod
+    def _eighths(rng, k):
+        w = [0] * k
+        for _ in range(8):
+            w[rng.randrange(k)] += 1
+        return [x / 8 for x in w]
+
+    @staticmethod
     def _assert_marginals(flow, supply, demand):
         for i, a in enumerate(supply):
             assert sum(f for (r, _), f in flow.items() if r == i) == a
@@ -216,12 +224,14 @@ class TestExactSimplex:
             assert sum(f for (_, c), f in flow.items() if c == j) == b
 
     def _assert_optimal(self, supply, demand, cost):
+        m, n = len(supply), len(demand)
         flow, u, v = _transportation_simplex(supply, demand, cost, cells_by_cost(cost))
-        assert all(isinstance(f, Fraction) for f in flow.values() if f)
+        assert all(isinstance(f, type(supply[0])) for f in flow.values() if f)
         self._assert_marginals(flow, supply, demand)
-        assert_spanning_tree(list(flow), len(supply), len(demand))
-        for i in range(len(supply)):
-            for j in range(len(demand)):
+        assert_spanning_tree(list(flow), m, n)
+        assert (u, v) == tree_potentials(list(flow), cost, m, n)
+        for i in range(m):
+            for j in range(n):
                 reduced = cost[i][j] - u[i] - v[j]
                 assert reduced >= 0
                 if (i, j) in flow:  # every basic cell, zero-flow ones too
@@ -264,6 +274,17 @@ class TestExactSimplex:
             cost = [[Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(n)] for _ in range(m)]
             u, v = self._assert_optimal(self._masses(rng, m), self._masses(rng, n), cost)
             assert all(isinstance(p, Fraction) for p in u + v)
+
+    @pytest.mark.parametrize("m, n", [(2, 3), (5, 5), (6, 4), (9, 8), (3, 7)])
+    def test_float_ties_pivot_at_zero(self, m, n):
+        # masses in eighths and integer-valued costs keep float arithmetic
+        # exact; tied masses leave zero-flow basic cells, so the simplex
+        # makes degenerate (theta = 0) pivots in floats, as with Fractions
+        rng = random.Random(f"exact:eighths:{m}x{n}")
+        for _ in range(25):
+            supply, demand = self._eighths(rng, m), self._eighths(rng, n)
+            cost = [[float(rng.randint(-3, 5)) for _ in range(n)] for _ in range(m)]
+            self._assert_optimal(supply, demand, cost)
 
 
 def float_problem(rng, m, n):
