@@ -64,7 +64,6 @@ from .transport import (
     TransportPlan,
     neighbor_distribution,
     wasserstein,
-    wasserstein_oracle,
 )
 
 __version__ = "0.1.0"

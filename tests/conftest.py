@@ -1,10 +1,15 @@
+import heapq
 import math
 import random
 
 import pytest
 from hypothesis import strategies as st
 
-from graphgrav import GeodesicTable, GraphGravError, build_graph, edge_key
+from graphgrav import Distribution, GeodesicTable, GraphGravError, WeightedGraph, build_graph, edge_key
+from graphgrav.errors import UnbalancedMass
+from graphgrav.transport import _supports
+
+SSP_TOL = 1e-13
 
 
 def random_connected_graph(rng, n, p=0.45, lo=0.5, hi=2.0):
@@ -70,6 +75,96 @@ def nogo_sum(g, region, setting):
             if j in region.vertices:
                 total += ratio / setting[edge_key(i, j)] - 1.0
     return total
+
+
+# ---------------------------------------------------------------------------
+# successive-shortest-path min-cost flow (uncapacitated)
+
+
+def wasserstein_oracle(g: WeightedGraph, geo: GeodesicTable, mu: Distribution, nu: Distribution) -> float:
+    """Same optimum as :func:`wasserstein`, via successive shortest paths on
+    the bipartite support graph.  Kept structurally independent for testing."""
+    sources, sinks, supply, demand = _supports(g, mu, nu)
+    n_src = len(sources)
+    arcs = []
+    for a, u in enumerate(sources):
+        for b, v in enumerate(sinks):
+            arcs.append((a, n_src + b, geo.dist(u, v)))
+    total, _, _ = _min_cost_flow(n_src + len(sinks), arcs, supply + [-m for m in demand])
+    return total
+
+
+def _min_cost_flow(n_nodes, arcs, supply):
+    """Uncapacitated min-cost flow with nonnegative arc costs.
+
+    ``arcs`` is a list of (tail, head, cost).  ``supply`` holds the net mass
+    each node must send (positive) or absorb (negative).  Returns
+    (total_cost, flows, potentials); flows are keyed by arc index.
+    """
+    adj = [[] for _ in range(n_nodes)]
+    for k, (a, b, c) in enumerate(arcs):
+        adj[a].append((k, b, c, +1))  # forward
+        adj[b].append((k, a, -c, -1))  # backward, usable while flow > 0
+    flow = [0.0] * len(arcs)
+    pot = [0.0] * n_nodes
+    excess = list(supply)
+    inf = float("inf")
+    for _ in range(4 * (n_nodes + len(arcs)) + 16):
+        s = max(range(n_nodes), key=lambda k: excess[k])
+        if excess[s] <= SSP_TOL:
+            break
+        dist = [inf] * n_nodes
+        prev_arc = [None] * n_nodes
+        dist[s] = 0.0
+        heap = [(0.0, s)]
+        seen = [False] * n_nodes
+        while heap:
+            d, x = heapq.heappop(heap)
+            if seen[x]:
+                continue
+            seen[x] = True
+            for k, y, c, sign in adj[x]:
+                if sign < 0 and flow[k] <= 0.0:
+                    continue
+                rc = c + pot[x] - pot[y]
+                if rc < 0.0:
+                    rc = 0.0  # float dust; reduced costs are nonnegative
+                nd = d + rc
+                if nd < dist[y]:
+                    dist[y] = nd
+                    prev_arc[y] = (k, x, sign)
+                    heapq.heappush(heap, (nd, y))
+        t = None
+        best = inf
+        for k in range(n_nodes):
+            if excess[k] < 0.0 and dist[k] < best:
+                best = dist[k]
+                t = k
+        if t is None:
+            if any(excess[k] < -10.0 * SSP_TOL for k in range(n_nodes)):
+                raise UnbalancedMass("flow problem is infeasible")
+            break  # only rounding dust remains
+        for k in range(n_nodes):
+            pot[k] += dist[k] if dist[k] < best else best
+        # path capacity limited only by the backward arcs traversed
+        amount = min(excess[s], -excess[t])
+        node = t
+        while node != s:
+            k, x, sign = prev_arc[node]
+            if sign < 0:
+                amount = min(amount, flow[k])
+            node = x
+        node = t
+        while node != s:
+            k, x, sign = prev_arc[node]
+            flow[k] += sign * amount
+            node = x
+        excess[s] -= amount
+        excess[t] += amount
+    if max(excess) > 10.0 * SSP_TOL:
+        raise RuntimeError("min-cost flow failed to route all mass")
+    total = sum(f * arcs[k][2] for k, f in enumerate(flow) if f > 0.0)
+    return total, flow, pot
 
 
 @pytest.fixture

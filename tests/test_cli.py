@@ -86,6 +86,14 @@ class TestCurvatureCommand:
         assert doc["t"] == 0.3
         assert [e["kappa"] for e in doc["edges"]] == pytest.approx([0.3, 0.3])
 
+    def test_fixed_t_far_below_the_edge_scale(self, tmp_path, capsys):
+        path = tmp_path / "k4.json"
+        path.write_text(json.dumps(_graph_to_json(gen_complete(4))))
+        code, out = run(capsys, "curvature", str(path), "--t", "1e-16")
+        assert code == 0
+        kappas = [e["kappa"] for e in json.loads(out)["edges"]]
+        assert kappas == pytest.approx([4e-16 / 3] * 6, rel=1e-10, abs=0)
+
     def test_malformed_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -77,6 +77,22 @@ class TestKappaLimit:
             k1, k2, k4 = (kappa_t(g, geo, u, v, t) for t in (0.1, 0.2, 0.4))
             assert k2 >= (2.0 * k1 + k4) / 3.0 - 1e-9
 
+    @pytest.mark.parametrize("g", [gen_complete(4), gen_tree(2, 3)], ids=["K4", "tree"])
+    def test_slope_holds_down_to_the_last_halving(self, g):
+        # the t-scale masses stay in the plan however small they get, so
+        # kappa_t/t keeps the limit's value at every t that kappa may try.
+        # Leaf edges are left out: a leaf's stay mass 1 - t is rounded, and
+        # the flows that carry its t-scale mass are differences of masses
+        # near 1, with an absolute error of about 1e-16 at any t
+        geo = GeodesicTable(g)
+        for u, v in g.edges:
+            if len(g.neighbors(u)) == 1 or len(g.neighbors(v)) == 1:
+                continue
+            limit = kappa(g, geo, u, v)
+            for k in range(61):
+                t = 0.25 * 2.0**-k
+                assert kappa_t(g, geo, u, v, t) / t == pytest.approx(limit, rel=1e-10)
+
     @given(connected_graphs())
     @settings(max_examples=60, deadline=None)
     def test_independent_of_query_history(self, g):

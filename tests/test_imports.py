@@ -34,11 +34,13 @@ def test_no_unused_imports(path):
 
 
 def top_level_definitions(source):
-    """Names of the functions and classes a module defines at top level."""
+    """Names of the functions and classes a module defines at top level,
+    pytest fixtures aside: pytest reads those, not a module."""
     return [
         node.name
         for node in ast.parse(source).body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not any(ast.unparse(d).startswith("pytest.fixture") for d in node.decorator_list)
     ]
 
 
@@ -54,15 +56,18 @@ def referenced_names(source):
 
 
 def test_finds_an_unreferenced_definition():
-    source = "def used():\n    pass\n\nclass Gone:\n    pass\n\nprint(used.__name__)\n"
+    source = (
+        "def used():\n    pass\n\nclass Gone:\n    pass\n\n"
+        "@pytest.fixture\ndef line():\n    pass\n\nprint(used.__name__)\n"
+    )
     defined = top_level_definitions(source)
     assert [name for name in defined if name not in referenced_names(source)] == ["Gone"]
 
 
 def test_every_definition_is_referenced():
-    """A top-level function or class of the package that no module of src/,
-    tests/ or perfbench/ reads is dead; an export in __init__.py is not a
-    read."""
+    """A top-level function or class of the package, or a helper of
+    tests/conftest.py, that no module of src/, tests/ or perfbench/ reads
+    is dead; an export in __init__.py is not a read."""
     package = ROOT / "src" / "graphgrav"
     readers = [*package.glob("*.py"), *(ROOT / "tests").glob("*.py")]
     readers += (ROOT / "perfbench").rglob("*.py")
@@ -70,7 +75,7 @@ def test_every_definition_is_referenced():
     referenced = set().union(*(referenced_names(p.read_text()) for p in readers))
     dead = [
         f"{path.name}:{name}"
-        for path in sorted(package.glob("*.py"))
+        for path in [*sorted(package.glob("*.py")), ROOT / "tests" / "conftest.py"]
         for name in top_level_definitions(path.read_text())
         if name not in referenced
     ]

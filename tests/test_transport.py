@@ -12,13 +12,12 @@ from graphgrav import (
     gen_tree,
     neighbor_distribution,
     wasserstein,
-    wasserstein_oracle,
 )
 from graphgrav.errors import TOutOfRange, UnbalancedMass, UnknownVertex
 from graphgrav.graph import cells_by_cost
-from graphgrav.transport import _least_cost_start, _min_cost_flow, _transportation_simplex
+from graphgrav.transport import _certificate_gap, _least_cost_start, _supports, _transportation_simplex
 
-from conftest import random_connected_graph
+from conftest import _min_cost_flow, random_connected_graph, wasserstein_oracle
 
 
 class TestNeighborDistribution:
@@ -119,19 +118,12 @@ class TestWasserstein:
                 assert m == pytest.approx(mu(a), abs=1e-10)
             for b, m in col.items():
                 assert m == pytest.approx(nu(b), abs=1e-10)
-            # dual feasibility and complementary slackness of the simplex
-            # that wasserstein runs, on the same cost block
-            sources, sinks = mu.support, nu.support
+            # the optimality certificate of the simplex that wasserstein
+            # runs, on the same cost block
+            sources, sinks, supply, demand = _supports(g, mu, nu)
             cost, cells = geo.cost_block(sources, sinks)
-            flow, pot_u, pot_v = _transportation_simplex(
-                [mu(a) for a in sources], [nu(b) for b in sinks], cost, cells
-            )
-            for a in range(len(sources)):
-                for b in range(len(sinks)):
-                    slack = cost[a][b] - pot_u[a] - pot_v[b]
-                    assert slack > -1e-9
-                    if flow.get((a, b), 0.0) > 1e-12:
-                        assert abs(slack) < 1e-9
+            flow, pot_u, pot_v = _transportation_simplex(supply, demand, cost, cells)
+            assert _certificate_gap(supply, demand, cost, flow, pot_u, pot_v) < 1e-9
 
     def test_symmetry(self, rng):
         for _ in range(10):
@@ -200,7 +192,7 @@ class TestExactSimplex:
     """Fraction masses with small integer costs (many ties) or Fraction
     costs, negative ones included, and float masses in eighths with
     integer-valued costs: the start, every pivot and the potentials stay
-    exact, so feasibility and optimality hold exactly.  Shapes with one
+    exact, so the optimality certificate is exactly 0.  Shapes with one
     short side give deep, unbalanced basis trees."""
 
     @staticmethod
@@ -227,15 +219,11 @@ class TestExactSimplex:
         m, n = len(supply), len(demand)
         flow, u, v = _transportation_simplex(supply, demand, cost, cells_by_cost(cost))
         assert all(isinstance(f, type(supply[0])) for f in flow.values() if f)
-        self._assert_marginals(flow, supply, demand)
         assert_spanning_tree(list(flow), m, n)
+        # potentials of the basis tree price every basic cell, zero-flow
+        # ones too, at exactly 0; the certificate covers the rest
         assert (u, v) == tree_potentials(list(flow), cost, m, n)
-        for i in range(m):
-            for j in range(n):
-                reduced = cost[i][j] - u[i] - v[j]
-                assert reduced >= 0
-                if (i, j) in flow:  # every basic cell, zero-flow ones too
-                    assert reduced == 0
+        assert _certificate_gap(supply, demand, cost, flow, u, v) == 0
         return u, v
 
     @pytest.mark.parametrize(
@@ -311,6 +299,56 @@ def test_negative_float_costs_match_shifted_min_cost_flow():
         arcs = [(i, m + j, cost[i][j] + shift) for i in range(m) for j in range(n)]
         shifted, _, _ = _min_cost_flow(m + n, arcs, supply + [-b for b in demand])
         assert simplex_cost == pytest.approx(shifted - shift * total, rel=1e-10)
+
+
+class TestCertificate:
+    """On problems where the simplex pivots, the least-cost start with the
+    potentials of its basis tree fails the certificate by more than the
+    simplex's pricing tolerance, and the simplex's optimum passes it."""
+
+    @staticmethod
+    def _float_problems():
+        rng = random.Random("certificate:float")
+        for _ in range(60):
+            m, n = rng.choice([(1, 9), (9, 1), (9, 8), (rng.randint(2, 7), rng.randint(2, 7))])
+            supply, demand, cost = float_problem(rng, m, n)
+            yield supply, demand, cost, cells_by_cost(cost)
+
+    @staticmethod
+    def _graph_problems():
+        # neighbour distributions on random graphs, as in criterion 11
+        rng = random.Random("certificate:graphs")
+        for _ in range(100):
+            g = random_connected_graph(rng, rng.randint(4, 8))
+            geo = GeodesicTable(g)
+            edges = list(g.edges)
+            x, y = edges[rng.randrange(len(edges))]
+            t = rng.uniform(0.1, 0.9)
+            mu = neighbor_distribution(g, geo, x, t)
+            nu = neighbor_distribution(g, geo, y, t)
+            sources, sinks, supply, demand = _supports(g, mu, nu)
+            yield (supply, demand, *geo.cost_block(sources, sinks))
+
+    @staticmethod
+    def _assert_separates(problems):
+        """Check each problem; return how many of them the simplex pivots on."""
+        pivoted = 0
+        for supply, demand, cost, cells in problems:
+            start, basis, scale = _least_cost_start(supply, demand, cells)
+            flow, u, v = _transportation_simplex(supply, demand, cost, cells)
+            tol = 1e-12 * scale  # the simplex's pricing tolerance
+            assert _certificate_gap(supply, demand, cost, flow, u, v) <= tol
+            if set(flow) != set(basis):  # Bland's rule never returns to a basis
+                pivoted += 1
+                start_u, start_v = tree_potentials(basis, cost, len(supply), len(demand))
+                assert _certificate_gap(supply, demand, cost, start, start_u, start_v) > tol
+        return pivoted
+
+    def test_float_problems(self):
+        assert self._assert_separates(self._float_problems()) >= 20
+
+    def test_graph_problems(self):
+        assert self._assert_separates(self._graph_problems()) >= 10
 
 
 class TestBasisPotentials:
