@@ -40,9 +40,7 @@ def action_plain(g: WeightedGraph, geo: GeodesicTable, edge_set=None) -> ActionR
 def _closed_form_parts(g, geo, region):
     """The closed-form curvature of every edge of E(Sigma), and the interior
     vertex sum of 2 - c^2/d in a fixed vertex order."""
-    per_edge = {
-        edge_key(u, v): kappa_tree_closed(g, geo, u, v) for u, v in sigma_edges(g, region)
-    }
+    per_edge = {(u, v): kappa_tree_closed(g, geo, u, v) for u, v in sigma_edges(g, region)}
     interior = 0.0
     for i in sorted(region.interior, key=repr):
         c, d, _ = geo.walk(i)

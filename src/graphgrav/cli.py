@@ -16,14 +16,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
-import random
 import sys
 
 from . import reproduce as repro
 from .action import action_ghy, action_plain, action_region_plain, ratio_bounds, tree_action_hex
 from .curvature import edge_curvatures, kappa_t
-from .dynamics import Setting, interior_edges, two_progression_x, verify_solution
+from .dynamics import Setting, two_progression_x, verify_solution
 from .errors import GraphGravError
 from .generators import (
     HexRegionSpec,
@@ -164,7 +162,7 @@ def cmd_curvature(args, inp):
     g = inp["g"]
     geo = GeodesicTable(g)
     if args.t is not None:
-        per_edge = {edge_key(u, v): kappa_t(g, geo, u, v, args.t) for u, v in g.edges}
+        per_edge = {(u, v): kappa_t(g, geo, u, v, args.t) for u, v in g.edges}
         mode = {"t": args.t}
     else:
         per_edge = edge_curvatures(g, geo)
@@ -212,15 +210,8 @@ def cmd_verify_eom(args, inp):
 
 
 def cmd_solve_eom(args, inp):
-    g, boundary, init = inp["g"], inp["boundary"], inp["init"]
-    if init is None:
-        free = [edge_key(u, v) for u, v in interior_edges(g) if edge_key(u, v) not in boundary]
-        rng = random.Random(args.seed)
-        init = Setting(
-            {key: math.exp(rng.uniform(math.log(0.5), math.log(2.0))) for key in free}
-        )
     res = newton_solve_teom(
-        g, boundary, init, tol=args.tol, restarts=args.restarts, seed=args.seed
+        inp["g"], inp["boundary"], inp["init"], tol=args.tol, restarts=args.restarts, seed=args.seed
     )
     doc = {
         "converged": res.converged,

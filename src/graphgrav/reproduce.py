@@ -314,7 +314,7 @@ def criterion_12() -> CriterionResult:
 
 def criterion_13() -> CriterionResult:
     g, _, region = _binary_tree_and_region()
-    interior = [edge_key(u, v) for u, v in interior_edges(g)]
+    interior = interior_edges(g)
     boundary = Setting(
         {key: 1.0 for key in g.lengths() if key not in set(interior)}
     )

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import action_plain
-from .dynamics import Setting, _require_tree, _tree_system, interior_edges
+from .dynamics import Setting, _require_tree, _tree_system, _unit_scaled, interior_edges
 from .errors import BadParams, NoFreeEdges, SingularJacobian
-from .graph import GeodesicTable, WeightedGraph, _require_edges, edge_key
+from .graph import GeodesicTable, WeightedGraph, _require_edges
 
 LOG_LENGTH_LO = math.log(1e-6)
 LOG_LENGTH_HI = math.log(1e3)
@@ -37,7 +37,7 @@ class SearchResult:
 def newton_solve_teom(
     g: WeightedGraph,
     boundary: Setting,
-    init: Setting,
+    init: Setting | None = None,
     tol: float = 1e-12,
     restarts: int = 0,
     seed: int = 42,
@@ -47,55 +47,53 @@ def newton_solve_teom(
     ``boundary`` and ``init`` name edges of g only.  ``boundary`` must fix
     at least every non-interior edge; fixing interior edges as well is
     allowed and leaves an overdetermined system, solved in the
-    least-squares sense.  Residuals of every interior edge must drop below
-    tol for convergence; the objective reported is the final maximum
-    absolute residual.
+    least-squares sense.  Up to 1 + ``restarts`` starts are run until one
+    passes ``verify_solution`` at tol, else the one with the least residual
+    is kept; the objective reported is its final maximum absolute residual.
+    Start 0 is ``init`` when given; every other start puts each free
+    log-length at the mean log of the boundary lengths plus U[-0.3, 0.3],
+    drawn from ``seed``.
 
     Free lengths are confined to [1e-6, 1e3].  The truncated equations have
     spurious residual valleys in which a cluster of sibling edges shrinks to
     zero together; their residuals fall below any usable tolerance only
-    outside this box, so the box keeps a converged run meaningful.  When the
-    run from ``init`` stalls, up to ``restarts`` fresh starts are taken near
-    the scale of the boundary data.
+    outside this box, so the box keeps a converged run meaningful.
     """
     _require_tree(g)
-    interior = [edge_key(u, v) for u, v in interior_edges(g)]
+    interior = interior_edges(g)
     interior_set = set(interior)
-    _require_edges(g, [*boundary.lengths, *init.lengths])
+    _require_edges(g, [*boundary.lengths, *(init.lengths if init is not None else ())])
     for key in g.lengths():
         if key not in interior_set and key not in boundary:
             raise BadParams(f"boundary must fix non-interior edge {key!r}")
     free = [key for key in interior if key not in boundary]
-    for key in free:
+    for key in free if init is not None else ():
         if key not in init:
             raise BadParams(f"init must give a length for free edge {key!r}")
     fixed = dict(boundary.lengths)
 
-    x0 = np.array([math.log(init[key]) for key in free], dtype=float)
     residual, jacobian = _tree_system(g, interior, free, fixed)
-    result = _newton_run(residual, jacobian, x0, tol)
-    used = 0
-    if not result[2] and free and restarts > 0:
-        rng = np.random.default_rng(seed)
-        anchor = float(np.mean([math.log(v) for v in fixed.values()])) if fixed else 0.0
-        for _ in range(restarts):
-            used += 1
-            spread = rng.uniform(-0.3, 0.3, size=len(free))
-            retry = _newton_run(residual, jacobian, anchor + spread, tol)
-            if retry[2]:
-                result = retry
-                break
-            if retry[1] < result[1]:
-                result = retry
-    x, worst, converged, iterations = result
-    lengths = {**fixed, **{key: math.exp(val) for key, val in zip(free, x.tolist())}}
-    return SearchResult(
-        setting=Setting(lengths),
-        objective=worst,
-        iterations=iterations,
-        converged=converged,
-        restarts_used=used,
-    )
+    # Newton stops by the same test at the boundary lengths' power of two,
+    # moved onto tol: exact, and the residuals it steps on stay unscaled
+    run_tol = math.ldexp(tol, -_unit_scaled(fixed)[1])
+    rng = best = None
+    for used in range(restarts + 1 if free else 1):
+        if used == 0 and init is not None:
+            x0 = np.array([math.log(init[key]) for key in free], dtype=float)
+        else:
+            if rng is None:
+                rng = np.random.default_rng(seed)
+                anchor = float(np.mean([math.log(v) for v in fixed.values()])) if fixed else 0.0
+            x0 = anchor + rng.uniform(-0.3, 0.3, size=len(free))
+        x, worst, _, iterations = _newton_run(residual, jacobian, x0, run_tol)
+        lengths = {**fixed, **{key: math.exp(val) for key, val in zip(free, x.tolist())}}
+        converged = math.ldexp(worst, _unit_scaled(lengths)[1]) < tol
+        if best is None or converged or worst < best[1]:
+            best = (lengths, worst, iterations, converged)
+        if converged:
+            break
+    lengths, worst, iterations, converged = best
+    return SearchResult(Setting(lengths), worst, iterations, converged, restarts_used=used)
 
 
 def _outside_box(x):
@@ -138,7 +136,7 @@ def _newton_run(residual, jacobian, x, tol):
             break
         converged = bool(np.max(np.abs(res)) < tol)
     worst = float(np.max(np.abs(res), initial=0.0))
-    return x, worst, converged and worst < tol, iterations
+    return x, worst, converged, iterations
 
 
 def extremize_action(

@@ -263,6 +263,29 @@ class TestSolveAndBounds:
         assert code == 0
         assert json.loads(out)["converged"] is True
 
+    @pytest.mark.parametrize("scale", [1e-4, 1e-2, 1.0, 100.0])
+    def test_solve_without_init_verifies(self, tmp_path, capsys, scale):
+        # without --init the start is drawn around the boundary's scale, and
+        # --tol is read at that scale as verify-eom reads it
+        g = gen_tree(2, 4)
+        interior = interior_edges(g)
+        boundary = {
+            "lengths": [{"u": u, "v": v, "len": scale} for u, v in g.edges if (u, v) not in interior]
+        }
+        graph_file, boundary_file = tmp_path / "g.json", tmp_path / "b.json"
+        graph_file.write_text(json.dumps(_graph_to_json(g)))
+        boundary_file.write_text(json.dumps(boundary))
+        setting_file = tmp_path / "s.json"
+        for seed in range(10):
+            code, out = run(
+                capsys, "solve-eom", str(graph_file), str(boundary_file),
+                "--restarts", "0", "--seed", str(seed), "--tol", "1e-12",
+            )
+            assert code == 0
+            setting_file.write_text(json.dumps(json.loads(out)["setting"]))
+            code, _ = run(capsys, "verify-eom", str(graph_file), str(setting_file), "--tol", "1e-12")
+            assert code == 0
+
     def test_bounds(self, tmp_path, capsys):
         code, out = run(capsys, "bounds", write_triangle(tmp_path))
         doc = json.loads(out)

@@ -33,6 +33,7 @@ from graphgrav.errors import (
     NotPerfect,
     TooLarge,
 )
+from graphgrav.graph import WeightedGraph
 
 
 class TestTrees:
@@ -131,6 +132,32 @@ class TestMatchings:
 
     def test_no_matching_on_star(self):
         assert find_perfect_matching(gen_tree(3, 1)) is None  # 5 vertices
+
+    def test_even_order_without_matching(self):
+        # a 4-cycle with two pendant vertices on one of its vertices
+        g = build_graph(
+            [str(k) for k in range(6)],
+            [("0", "1", 1.0), ("1", "2", 1.0), ("2", "3", 1.0), ("0", "3", 1.0),
+             ("2", "4", 1.0), ("2", "5", 1.0)],
+        )
+        assert find_perfect_matching(g) is None
+
+    def test_failed_remainders_are_searched_once(self, monkeypatch):
+        # a chain of five 4-cycles ending in a 3-leaf star, which has no
+        # perfect matching: each of the 2^5 matchings of the cycles leaves the
+        # star, and only the memo keeps it from being searched 2^5 times
+        edges = []
+        for b in range(5):
+            c = [f"c{b}{k}" for k in range(4)]
+            edges += [(c[k], c[(k + 1) % 4], 1.0) for k in range(4)]
+            edges.append((c[2], f"c{b + 1}0" if b < 4 else "s0", 1.0))
+        edges += [("s0", f"s{k}", 1.0) for k in (1, 2, 3)]
+        g = build_graph(sorted({v for e in edges for v in e[:2]}), edges)
+        calls = []
+        neighbors = WeightedGraph.neighbors
+        monkeypatch.setattr(WeightedGraph, "neighbors", lambda self, v: calls.append(v) or neighbors(self, v))
+        assert find_perfect_matching(g) is None
+        assert len(calls) < 2**5
 
     def test_size_cap(self):
         with pytest.raises(TooLarge):

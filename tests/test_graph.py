@@ -350,6 +350,10 @@ class TestRegions:
         with pytest.raises(EmptyRegion):
             extract_region(line3, [])
 
+    def test_unknown_vertex(self, line3):
+        with pytest.raises(UnknownVertex, match="'zz'"):
+            extract_region(line3, ["a", "zz"])
+
     def test_disconnected_region(self, line3):
         with pytest.raises(DisconnectedRegion):
             extract_region(line3, ["a", "c"])

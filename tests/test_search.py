@@ -200,6 +200,22 @@ class TestNewton:
             )
             assert not res.converged
 
+    @pytest.mark.parametrize("scale", [1e-5, 1e-3, 1.0, 500.0])
+    def test_converged_means_verified_at_every_scale(self, scale):
+        # converged is verify_solution's verdict, which reads tol at the
+        # lengths' power of two, so it holds at every common scale
+        g = gen_tree(2, 5)
+        interior = interior_edges(g)
+        boundary = Setting({key: scale for key in g.edges if key not in interior})
+        rng = random.Random(7)
+        converged = 0
+        for _ in range(100):
+            init = Setting({key: scale * math.exp(rng.uniform(-0.3, 0.3)) for key in interior})
+            res = newton_solve_teom(g, boundary, init, restarts=3)
+            assert res.converged == verify_solution(g, res.setting, tol=1e-12).is_solution
+            converged += res.converged
+        assert converged == 100
+
     def test_missing_boundary_rejected(self):
         g = gen_tree(2, 2)
         with pytest.raises(BadParams):

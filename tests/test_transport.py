@@ -81,6 +81,10 @@ class TestWasserstein:
         with pytest.raises(UnbalancedMass):
             solve(line3, line3_geo, lop, bad)
 
+    def test_masses_must_sum_to_one(self):
+        with pytest.raises(UnbalancedMass, match="sum to"):
+            Distribution({"a": 0.7, "b": 0.2})
+
     @pytest.mark.parametrize("solve", [wasserstein, wasserstein_oracle])
     def test_nan_mass_rejected(self, line3, line3_geo, solve):
         # NaN fails every comparison, so it must fail the checks, not pass them
