@@ -22,7 +22,7 @@ from . import reproduce as repro
 from .action import action_ghy, action_plain, action_region_plain, ratio_bounds, tree_action_hex
 from .curvature import edge_curvatures, kappa_t
 from .dynamics import Setting, two_progression_x, verify_solution
-from .errors import GraphGravError
+from .errors import DuplicateEdge, GraphGravError
 from .generators import (
     HexRegionSpec,
     constant_setting,
@@ -48,13 +48,16 @@ EXIT_INVARIANT = 3
 #   graph    {"vertices": [id], "edges": [{"u": id, "v": id, "len": float}]}
 #   setting  {"lengths": [{"u": id, "v": id, "len": float}]}
 #   region   {"sigma": [id]}
+# Every edge list is written by `_edge_list`, in `g.edges` order; no file may name an edge twice.
+
+
+def _edge_list(values, field):
+    """The ``{"u", "v", field}`` rows of an edge-key -> number map, in `g.edges` (repr) order."""
+    return [{"u": str(u), "v": str(v), field: values[u, v]} for u, v in sorted(values, key=repr)]
 
 
 def _graph_to_json(g):
-    return {
-        "vertices": [str(v) for v in g.vertices],
-        "edges": [{"u": str(u), "v": str(v), "len": g.length(u, v)} for u, v in g.edges],
-    }
+    return {"vertices": [str(v) for v in g.vertices], "edges": _edge_list(g.lengths(), "len")}
 
 
 def _graph_from_json(doc):
@@ -64,12 +67,17 @@ def _graph_from_json(doc):
 
 
 def _setting_to_json(setting):
-    items = sorted(setting.lengths.items(), key=lambda kv: repr(kv[0]))
-    return {"lengths": [{"u": str(u), "v": str(v), "len": ell} for (u, v), ell in items]}
+    return {"lengths": _edge_list(setting.lengths, "len")}
 
 
 def _setting_from_json(doc):
-    return Setting({edge_key(str(e["u"]), str(e["v"])): float(e["len"]) for e in doc["lengths"]})
+    lengths = {}
+    for e in doc["lengths"]:
+        key = edge_key(str(e["u"]), str(e["v"]))
+        if key in lengths:
+            raise DuplicateEdge(f"duplicate edge {key!r}")
+        lengths[key] = float(e["len"])
+    return Setting(lengths)
 
 
 def _load_json(path):
@@ -102,20 +110,13 @@ def _load_inputs(args):
         path = getattr(args, name, None)
         inp[name] = _setting_from_json(_load_json(path)) if path else None
     if args.command != "verify-eom" and inp["setting"] is not None:
-        inp["g"] = inp["g"].with_lengths(inp["setting"])
+        inp["g"] = inp["g"].with_lengths(inp["setting"].lengths)
     if getattr(args, "variant", "plain") != "plain":
         if not args.region:
             raise ValueError("this variant needs --region")
         sigma = [str(v) for v in _load_json(args.region)["sigma"]]
         inp["region"] = extract_region(inp["g"], sigma)
     return inp
-
-
-def _edge_rows(per_edge):
-    return [
-        {"u": str(u), "v": str(v), "kappa": val}
-        for (u, v), val in sorted(per_edge.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1])))
-    ]
 
 
 def cmd_gen(args, inp):
@@ -167,7 +168,7 @@ def cmd_curvature(args, inp):
     else:
         per_edge = edge_curvatures(g, geo)
         mode = {"t": "limit"}
-    doc = {**mode, "edges": _edge_rows(per_edge), "total": sum(per_edge.values())}
+    doc = {**mode, "edges": _edge_list(per_edge, "kappa"), "total": sum(per_edge.values())}
     _emit(doc, args.out)
     return EXIT_OK
 
@@ -187,7 +188,7 @@ def cmd_action(args, inp):
         "variant": rep.variant,
         "total": rep.total,
         "bound_upper": rep.bound_upper,
-        "edges": _edge_rows(rep.per_edge),
+        "edges": _edge_list(rep.per_edge, "kappa"),
     }
     if rep.closed_form is not None:
         doc["closed_form"] = rep.closed_form
@@ -200,10 +201,7 @@ def cmd_verify_eom(args, inp):
     doc = {
         "is_solution": rep.is_solution,
         "max_abs_residual": rep.max_abs_residual,
-        "residuals": [
-            {"u": str(u), "v": str(v), "residual": r}
-            for (u, v), r in sorted(rep.residuals.items())
-        ],
+        "residuals": _edge_list(rep.residuals, "residual"),
     }
     _emit(doc, args.out)
     return EXIT_OK if rep.is_solution else EXIT_SEMANTIC
@@ -374,6 +372,3 @@ def main(argv=None):
         print(f"invariant violation: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -101,17 +101,15 @@ class WeightedGraph:
     def with_lengths(self, new_lengths):
         """Same topology with edge lengths replaced.
 
-        ``new_lengths`` maps normalized edge keys (or a Setting-like object
-        with a ``lengths`` attribute) to positive values; it must cover every
-        edge of the graph and name no other pair.
+        ``new_lengths`` maps normalized edge keys to positive values; it must
+        cover every edge of the graph and name no other pair.
         """
-        mapping = getattr(new_lengths, "lengths", new_lengths)
-        _require_edges(self, mapping)
+        _require_edges(self, new_lengths)
         out = {}
         for key in self._lengths:
-            if key not in mapping:
+            if key not in new_lengths:
                 raise NotAnEdge(f"no length given for edge {key!r}")
-            val = float(mapping[key])
+            val = float(new_lengths[key])
             _check_length(key, val)
             out[key] = val
         return WeightedGraph(self._vertices, self._adj, out)

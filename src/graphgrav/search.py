@@ -85,8 +85,9 @@ def newton_solve_teom(
                 rng = np.random.default_rng(seed)
                 anchor = float(np.mean([math.log(v) for v in fixed.values()])) if fixed else 0.0
             x0 = anchor + rng.uniform(-0.3, 0.3, size=len(free))
-        x, worst, _, iterations = _newton_run(residual, jacobian, x0, run_tol)
-        lengths = {**fixed, **{key: math.exp(val) for key, val in zip(free, x.tolist())}}
+        x, worst, iterations = _newton_run(residual, jacobian, x0, run_tol)
+        # np.exp, as the residual that judged x reads it
+        lengths = {**fixed, **dict(zip(free, np.exp(x).tolist()))}
         converged = math.ldexp(worst, _unit_scaled(lengths)[1]) < tol
         if best is None or converged or worst < best[1]:
             best = (lengths, worst, iterations, converged)
@@ -101,14 +102,14 @@ def _outside_box(x):
 
 
 def _newton_run(residual, jacobian, x, tol):
-    """One damped Newton descent; returns (x, max_abs_residual, converged, iters).
+    """One damped Newton descent; returns (x, max_abs_residual, iterations).
     Every iterate stays inside the box; a step that leaves it is damped."""
     if _outside_box(x):
         raise BadParams("initial free lengths must lie within [1e-6, 1e3]")
     res = residual(x)
     iterations = 0
-    converged = bool(np.max(np.abs(res), initial=0.0) < tol)
-    while not converged and iterations < MAX_NEWTON_ITER and x.size:
+    # written as `not ... < tol` so that a NaN residual keeps iterating
+    while not np.max(np.abs(res), initial=0.0) < tol and iterations < MAX_NEWTON_ITER and x.size:
         jac = jacobian(x)
         try:  # numpy refuses a singular or a non-square system alike
             step = np.linalg.solve(jac, -res)
@@ -134,9 +135,7 @@ def _newton_run(residual, jacobian, x, tol):
         iterations += 1
         if not improved:
             break
-        converged = bool(np.max(np.abs(res)) < tol)
-    worst = float(np.max(np.abs(res), initial=0.0))
-    return x, worst, converged, iterations
+    return x, float(np.max(np.abs(res), initial=0.0)), iterations
 
 
 def extremize_action(

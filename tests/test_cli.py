@@ -10,8 +10,10 @@ import pytest
 import graphgrav
 from graphgrav import (
     HexRegionSpec,
+    Setting,
     action_ghy,
     action_region_plain,
+    build_graph,
     edge_key,
     extract_region,
     gen_complete,
@@ -362,7 +364,7 @@ def test_output_is_identical_across_hash_seeds(tmp_path, command, inputs, extra)
     outs = []
     for hash_seed in ("0", "1"):
         env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
-        cmd = [sys.executable, "-m", "graphgrav.cli", *argv]
+        cmd = [sys.executable, "-m", "graphgrav", *argv]
         outs.append(subprocess.run(cmd, env=env, capture_output=True, check=True).stdout)
     assert outs[0] == outs[1]
     doc = json.loads(outs[0])
@@ -430,9 +432,70 @@ class TestExitCodes:
         assert main(["solve-eom", graph, boundary]) == 3
         assert capsys.readouterr().err.count("NotAnEdge") == 3
 
+    @pytest.mark.parametrize("reverse", [False, True], ids=["same-order", "reversed"])
+    def test_setting_naming_an_edge_twice_is_an_invariant_violation(self, tmp_path, capsys, reverse):
+        def write(name, rows):
+            # the first row again, with another length
+            u, v = (rows[0]["v"], rows[0]["u"]) if reverse else (rows[0]["u"], rows[0]["v"])
+            (tmp_path / name).write_text(json.dumps({"lengths": [*rows, {"u": u, "v": v, "len": 2.0}]}))
+            return str(tmp_path / name)
+
+        k3 = tmp_path / "k3.json"
+        k3.write_text(json.dumps(_graph_to_json(gen_complete(3))))
+        k3_rows = _setting_to_json(Setting(gen_complete(3).lengths()))["lengths"]
+        graph, boundary = _tree_boundary_files(tmp_path)[:2]
+        boundary_rows = json.loads((tmp_path / "boundary.json").read_text())["lengths"]
+        init_rows = [{"u": u, "v": v, "len": 1.0} for u, v in interior_edges(gen_tree(2, 3))]
+        runs = [
+            ["action", str(k3), "--setting", write("s.json", k3_rows)],
+            ["solve-eom", graph, write("b.json", boundary_rows)],
+            ["solve-eom", graph, boundary, "--init", write("i.json", init_rows)],
+            ["search", str(k3), "--objective", "min", "--restarts", "1",
+             "--fixed", write("f.json", k3_rows[:1])],
+        ]
+        for argv in runs:
+            assert main(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.out == "" and "DuplicateEdge" in captured.err
+
     def test_oversized_tree_is_refused(self, capsys):
         assert main(["gen", "tree", "--depth", "60"]) == 3
         assert "TooLarge" in capsys.readouterr().err
+
+
+def _prefix_tree():
+    # "a" is a prefix of "a b", whose next character sorts below the quote
+    # that ends "a" in a repr: the repr of the edge keys puts ("a b", ...)
+    # first, and plain string order puts ("a", ...) first
+    edges = [("a", "z"), ("a b", "z"), ("a", "p"), ("a", "q"), ("a b", "r"), ("a b", "s"), ("t", "z")]
+    return build_graph(["a", "a b", "p", "q", "r", "s", "t", "z"], [(u, v, 1.0) for u, v in edges])
+
+
+def _pairs(rows):
+    return [(row["u"], row["v"]) for row in rows]
+
+
+def test_every_edge_list_is_in_graph_edge_order(tmp_path, capsys):
+    g = _prefix_tree()
+    interior = interior_edges(g)
+    assert interior == (("a b", "z"), ("a", "z")) and list(interior) != sorted(interior)
+    assert _pairs(_graph_to_json(g)["edges"]) == list(g.edges)
+    assert _pairs(_setting_to_json(Setting(g.lengths()))["lengths"]) == list(g.edges)
+    graph, setting, boundary = (tmp_path / name for name in ("g.json", "s.json", "b.json"))
+    graph.write_text(json.dumps(_graph_to_json(g)))
+    setting.write_text(json.dumps(_setting_to_json(Setting(g.lengths()))))
+    boundary.write_text(json.dumps(
+        _setting_to_json(Setting({key: 1.0 for key in g.edges if key not in interior}))
+    ))
+    for argv in (["curvature"], ["curvature", "--t", "0.2"], ["action"]):
+        code, out = run(capsys, argv[0], str(graph), *argv[1:])
+        assert code == 0
+        assert _pairs(json.loads(out)["edges"]) == list(g.edges)
+    _, out = run(capsys, "verify-eom", str(graph), str(setting))
+    assert _pairs(json.loads(out)["residuals"]) == list(interior)
+    code, out = run(capsys, "solve-eom", str(graph), str(boundary))
+    assert code == 0
+    assert _pairs(json.loads(out)["setting"]["lengths"]) == list(g.edges)
 
 
 def test_package_runs_as_a_module(tmp_path, capsys):
@@ -455,7 +518,7 @@ def test_unknown_region_vertex_error_is_identical_across_hash_seeds(tmp_path):
     errs = []
     for hash_seed in ("0", "1"):
         env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
-        cmd = [sys.executable, "-m", "graphgrav.cli", *argv]
+        cmd = [sys.executable, "-m", "graphgrav", *argv]
         proc = subprocess.run(cmd, env=env, capture_output=True)
         assert proc.returncode == 3
         errs.append(proc.stderr)
