@@ -1,11 +1,11 @@
 """Edge curvature at finite walk laziness t, its t -> 0 limit, and the
-closed-form value that is exact on trees.
+closed-form value that is exact on trees and gives the limit, with no
+solve, on every edge whose neighbourhood metric is a double star.
 
-The transportation cost between the two neighbor distributions of an edge is
-piecewise linear in t, so kappa_t(t)/t is exactly constant below the first
-breakpoint; the limit is found by halving t until two successive slopes
-agree.  kappa_t is accumulated as sum(flow * (P - cost)) / P rather than
-1 - W/P, which stays accurate when t is many orders below the edge scale.
+Elsewhere the transport cost is piecewise linear in t, so kappa_t(t)/t is
+exactly constant below the first breakpoint; the limit is found by halving t
+until two successive slopes agree.  kappa_t sums flow * (P - cost) / P rather
+than taking 1 - W/P, which stays accurate when t is far below the edge scale.
 """
 
 from __future__ import annotations
@@ -33,6 +33,21 @@ def kappa_t(g: WeightedGraph, geo: GeodesicTable, i, j, t: float) -> float:
 
 
 def kappa(g: WeightedGraph, geo: GeodesicTable, i, j) -> float:
+    """Limit of kappa_t(t)/t as t -> 0: `kappa_tree_closed`, with no solve,
+    where i and j share no neighbour and d(a, b) = d(a, i) + d(i, j) + d(j, b)
+    for their other neighbours a and b, else the halving limit.  The test
+    allows 1e-12 d(i, j) of rounding; an edge whose rounding exceeds that, at
+    an extreme length ratio, takes the solve."""
+    if set(g.neighbors(i)).isdisjoint(g.neighbors(j)):  # exits at once on K_n
+        p = geo.dist(i, j)
+        near_j = [(b, pb) for b, pb in geo.walk(j)[2] if b != i]
+        if all(geo.dist(a, b) >= pa + p + pb - 1e-12 * p
+               for a, pa in geo.walk(i)[2] if a != j for b, pb in near_j):
+            return kappa_tree_closed(g, geo, i, j)
+    return _kappa_transport(g, geo, i, j)
+
+
+def _kappa_transport(g: WeightedGraph, geo: GeodesicTable, i, j) -> float:
     """Limit of kappa_t(t)/t as t -> 0, found by halving from t = 1/4."""
     t = INITIAL_T
     prev = kappa_t(g, geo, i, j, t) / t

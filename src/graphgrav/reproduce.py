@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .action import action_ghy, action_plain, partial_action_complete, ratio_bounds, tree_action_hex
-from .curvature import kappa, kappa_t, kappa_tree_closed
+from .curvature import _kappa_transport, kappa_t, kappa_tree_closed
 from .dynamics import (
     Setting,
     geometric_half_half_stats,
@@ -172,7 +172,7 @@ def criterion_7() -> CriterionResult:
         geo = GeodesicTable(g)
         want = 2.0 * (1 - q) / (1 + q)
         worst = max(
-            abs(kappa(g, geo, u, v) - want) for u, v in interior_edges(g)
+            abs(_kappa_transport(g, geo, u, v) - want) for u, v in interior_edges(g)
         )
         ok &= worst < 1e-8
         details.append(f"T{q}: residual {rep.max_abs_residual:.1e}, kappa gap {worst:.1e}")
@@ -190,7 +190,7 @@ def criterion_8() -> CriterionResult:
     g2 = g.with_lengths(setting.lengths)
     geo = GeodesicTable(g2)
     want = geometric_half_half_stats(q, r)[0]
-    worst = max(abs(kappa(g2, geo, u, v) - want) for u, v in interior_edges(g2))
+    worst = max(abs(_kappa_transport(g2, geo, u, v) - want) for u, v in interior_edges(g2))
     ok = rep.is_solution and worst < 1e-8
     return CriterionResult(
         8, "geometric half-half on T3 (r=2, depth 5): solution with curvature -0.8",
@@ -287,7 +287,7 @@ def criterion_12() -> CriterionResult:
     geo = GeodesicTable(g)
     edges = sigma_edges(g, region)
     worst_eq = max(
-        abs(kappa(g, geo, u, v) - kappa_tree_closed(g, geo, u, v)) for u, v in edges
+        abs(_kappa_transport(g, geo, u, v) - kappa_tree_closed(g, geo, u, v)) for u, v in edges
     )
     rep = tree_action_hex(g, geo, region)
     identity_gap = abs(rep.total - rep.closed_form)
@@ -301,7 +301,7 @@ def criterion_12() -> CriterionResult:
         g2 = g.with_lengths(lengths)
         geo2 = GeodesicTable(g2)
         s_t = tree_action_hex(g2, geo2, region).total
-        s_sigma = action_plain(g2, geo2, edges).total
+        s_sigma = sum(_kappa_transport(g2, geo2, u, v) for u, v in edges)
         dominated &= s_t <= s_sigma + 1e-9
     ok = worst_eq < 1e-8 and identity_gap < 1e-9 and dominated
     return CriterionResult(

@@ -28,9 +28,9 @@ def random_connected_graph(rng, n, p=0.45, lo=0.5, hi=2.0):
 
 
 @st.composite
-def connected_graphs(draw):
+def connected_graphs(draw, lo=1e-6, hi=1e3):
     """Random connected graph on 2 to 9 vertices, a random spanning tree plus
-    random chords, with lengths log-uniform in [1e-6, 1e3]."""
+    random chords, with lengths log-uniform in [lo, hi]."""
     n = draw(st.integers(2, 9))
     verts = [str(k) for k in range(n)]
     pairs = {(draw(st.integers(0, k - 1)), k) for k in range(1, n)}  # spanning tree
@@ -38,7 +38,7 @@ def connected_graphs(draw):
     for a, b in draw(st.lists(st.tuples(index, index), max_size=2 * n)):
         if a != b:
             pairs.add((min(a, b), max(a, b)))
-    log_length = st.floats(math.log(1e-6), math.log(1e3))
+    log_length = st.floats(math.log(lo), math.log(hi))
     edges = [(verts[a], verts[b], math.exp(draw(log_length))) for a, b in sorted(pairs)]
     return build_graph(verts, edges)
 

@@ -29,6 +29,7 @@ from graphgrav import (
     tree_action_hex,
     HexRegionSpec,
 )
+from graphgrav.curvature import _kappa_transport
 from graphgrav.errors import (
     NonpositiveInput,
     NonUniqueInwardEdge,
@@ -38,7 +39,7 @@ from graphgrav.errors import (
     NotHexRegion,
 )
 
-from conftest import random_connected_graph
+from conftest import connected_graphs, random_connected_graph
 
 
 def ball(g, root, radius):
@@ -83,6 +84,26 @@ class TestPlainAction:
     def test_rejects_non_edge(self, line3, line3_geo):
         with pytest.raises(NotAnEdge):
             action_plain(line3, line3_geo, [("a", "b"), ("a", "c")])
+
+    @given(
+        connected_graphs(1e-3, 1e2),
+        st.floats(math.log(1e-2), math.log(1e2)),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_ignores_common_scale_and_vertex_names(self, g, log_scale, rand):
+        # S is a sum of dimensionless curvatures over the graph, so neither a
+        # common rescaling nor a relabelling may move it; the drawn graphs hold
+        # edges on both sides of kappa's closed-form dispatch
+        s = action_plain(g, GeodesicTable(g)).total
+        lam = math.exp(log_scale)
+        scaled = g.with_lengths({key: lam * ell for key, ell in g.lengths().items()})
+        names = list(g.vertices)
+        rand.shuffle(names)
+        name = dict(zip(g.vertices, names))
+        renamed = build_graph(names, [(name[u], name[v], ell) for (u, v), ell in g.lengths().items()])
+        for h in (scaled, renamed):
+            assert abs(action_plain(h, GeodesicTable(h)).total - s) <= 1e-9 * max(1.0, abs(s))
 
 
 class TestGhy:
@@ -158,7 +179,8 @@ class TestRegionPlain:
             lengths = {key: rng.uniform(0.5, 2.0) for key in g.lengths()}
             g = g.with_lengths(lengths)
             region = extract_region(g, ball(g, "0", depth - 1))
-            direct = action_plain(g, GeodesicTable(g), sigma_edges(g, region)).total
+            geo = GeodesicTable(g)
+            direct = sum(_kappa_transport(g, geo, u, v) for u, v in sigma_edges(g, region))
             closed = action_region_plain(g, region).total
             assert closed == pytest.approx(direct, abs=1e-9)
 
@@ -232,7 +254,7 @@ class TestHexTreeAction:
         g2 = g.with_lengths(lengths)
         geo = GeodesicTable(g2)
         s_t = tree_action_hex(g2, geo, region).total
-        s_plain = action_plain(g2, geo, sigma_edges(g2, region)).total
+        s_plain = sum(_kappa_transport(g2, geo, u, v) for u, v in sigma_edges(g2, region))
         assert s_t <= s_plain + 1e-9
 
     def test_rejects_wrong_degree(self):

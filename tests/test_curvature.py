@@ -1,11 +1,17 @@
+from fractions import Fraction
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 
+import graphgrav.curvature as curvature
 from graphgrav import (
     GeodesicTable,
     action_plain,
+    build_graph,
     edge_curvatures,
     gen_complete,
+    gen_cycle,
     gen_hex_region,
     gen_tree,
     kappa,
@@ -14,6 +20,7 @@ from graphgrav import (
     sigma_edges,
     HexRegionSpec,
 )
+from graphgrav.curvature import _kappa_transport
 from graphgrav.errors import NotAnEdge, TOutOfRange
 
 from conftest import connected_graphs, random_connected_graph
@@ -46,12 +53,11 @@ class TestKappaT:
             kappa_t(line3, line3_geo, "a", "b", 1.0)
 
     def test_limit_reports_no_convergence(self, line3, line3_geo, monkeypatch):
-        import graphgrav.curvature as curvature
         from graphgrav.errors import NoConvergence
 
         monkeypatch.setattr(curvature, "MAX_HALVINGS", 0)
         with pytest.raises(NoConvergence):
-            kappa(line3, line3_geo, "a", "b")
+            _kappa_transport(line3, line3_geo, "a", "b")
 
 
 class TestKappaLimit:
@@ -88,7 +94,7 @@ class TestKappaLimit:
         for u, v in g.edges:
             if len(g.neighbors(u)) == 1 or len(g.neighbors(v)) == 1:
                 continue
-            limit = kappa(g, geo, u, v)
+            limit = _kappa_transport(g, geo, u, v)
             for k in range(61):
                 t = 0.25 * 2.0**-k
                 assert kappa_t(g, geo, u, v, t) / t == pytest.approx(limit, rel=1e-10)
@@ -122,7 +128,7 @@ class TestTreeClosedForm:
             g = g.with_lengths(lengths)
             geo = GeodesicTable(g)
             for u, v in g.edges:
-                assert kappa(g, geo, u, v) == pytest.approx(
+                assert _kappa_transport(g, geo, u, v) == pytest.approx(
                     kappa_tree_closed(g, geo, u, v), abs=1e-8
                 )
 
@@ -132,13 +138,83 @@ class TestTreeClosedForm:
         g2 = g.with_lengths(lengths)
         geo = GeodesicTable(g2)
         for u, v in sigma_edges(g2, region):
-            assert kappa_tree_closed(g2, geo, u, v) <= kappa(g2, geo, u, v) + 1e-9
+            assert kappa_tree_closed(g2, geo, u, v) <= _kappa_transport(g2, geo, u, v) + 1e-9
 
     def test_strong_boundary_equality(self):
         # constant lengths everywhere: the transport saturates the tree plan
         g, region = gen_hex_region(HexRegionSpec(1))
         geo = GeodesicTable(g)
         for u, v in sigma_edges(g, region):
-            assert kappa(g, geo, u, v) == pytest.approx(
+            assert _kappa_transport(g, geo, u, v) == pytest.approx(
                 kappa_tree_closed(g, geo, u, v), abs=1e-9
             )
+
+
+def closed_form_exact(geo, i, j):
+    """`kappa_tree_closed` in exact arithmetic on the table's float geodesics."""
+    p = Fraction(geo.dist(i, j))
+    sums = []
+    for w in (i, j):
+        inv = [1 / Fraction(q) for _, q in geo.walk(w)[2]]
+        sums.append((sum(inv), sum(x * x for x in inv)))
+    (ci, di), (cj, dj) = sums
+    return 2 / (p * p) * (1 / di + 1 / dj) - (ci / di + cj / dj) / p
+
+
+class TestDoubleStarDispatch:
+    """kappa takes the tree closed form, with no solve, where every cost
+    between the closed neighbourhoods of the edge is a double-star distance,
+    and the halving limit everywhere else."""
+
+    def test_unit_square_solves(self):
+        # no common neighbours, but the far ends of each edge are 1 apart, not
+        # the 3 of a double star: the closed form reads 0, the transport 1
+        g = gen_cycle(4)
+        geo = GeodesicTable(g)
+        for u, v in g.edges:
+            assert kappa_tree_closed(g, geo, u, v) == pytest.approx(0.0, abs=1e-15)
+            assert kappa(g, geo, u, v) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("far", [3.0, 3.5, 5.0])
+    def test_square_with_a_long_fourth_edge(self, far):
+        # d(0, 3) = min(far, 3.5): the neighbours 0 and 3 of the edge 1-2 are at
+        # their double-star distance exactly when the fourth edge is at least
+        # as long as the path 0-1-2-3; no other edge ever is
+        g = build_graph(
+            list("0123"), [("0", "1", 0.5), ("1", "2", 1.0), ("2", "3", 2.0), ("0", "3", far)]
+        )
+        for u, v in g.edges:
+            geo = GeodesicTable(g)
+            got = kappa(g, geo, u, v)
+            assert (not geo._blocks) == (far >= 3.5 and (u, v) == ("1", "2"))
+            assert got == pytest.approx(_kappa_transport(g, geo, u, v), abs=1e-10)
+
+    def test_non_edges_raise(self):
+        # a-c share the neighbour b; a-d share none and fail the distance test
+        g = build_graph(list("abcd"), [("a", "b", 1.0), ("b", "c", 1.0), ("c", "d", 1.0)])
+        geo = GeodesicTable(g)
+        for u, v in (("a", "c"), ("a", "d")):
+            with pytest.raises(NotAnEdge):
+                kappa(g, geo, u, v)
+
+    @given(connected_graphs(1e-3, 1e2))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_halving_limit(self, g):
+        geo = GeodesicTable(g)
+        for u, v in g.edges:
+            want = _kappa_transport(g, geo, u, v)
+            assert abs(kappa(g, geo, u, v) - want) <= 1e-10 * max(1.0, abs(want))
+
+    @given(connected_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_closed_form_is_exact_over_the_length_box(self, g):
+        # the halving limit itself is off by up to about 6e-8 at the extreme
+        # length ratios of [1e-6, 1e3], so the oracle here is the closed form
+        # in exact arithmetic; edges that would solve read None
+        geo = GeodesicTable(g)
+        with mock.patch.object(curvature, "_kappa_transport", return_value=None):
+            shortcut = {(u, v): kappa(g, geo, u, v) for u, v in g.edges}
+        for (u, v), got in shortcut.items():
+            if got is not None:
+                want = closed_form_exact(geo, u, v)
+                assert abs(Fraction(got) - want) <= 1e-13 * max(1, abs(want))

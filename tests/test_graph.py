@@ -16,6 +16,7 @@ from graphgrav import (
     edge_key,
     extract_region,
     gen_complete,
+    gen_cycle,
     gen_hex_region,
     gen_tree,
     neighbor_distribution,
@@ -292,13 +293,29 @@ class TestTableMemos:
         action_plain(g, geo)
         assert len(geo._blocks) == 1
 
-    def test_tree_builds_one_cost_block_per_edge(self, rng):
-        # the two solves of an edge's limit share its block
+    def test_one_cost_block_per_edge_that_solves(self, rng):
+        # an edge whose neighbourhood metric is a double star takes no solve,
+        # so a tree builds no block
         g = gen_tree(2, 4)
         g = g.with_lengths({key: rng.uniform(0.5, 2.0) for key in g.edges})
         geo = GeodesicTable(g)
         action_plain(g, geo)
-        assert len(geo._blocks) == g.num_edges
+        assert len(geo._blocks) == 0
+        # on C5 the edge k-(k+1) takes the closed form when its far side, the
+        # path (k+2)-(k+3)-(k+4), is at least as long as the other three edges;
+        # every other edge solves twice on one block
+        solving = set()
+        for _ in range(20):
+            ell = [rng.uniform(0.5, 2.0) for _ in range(5)]
+            g = gen_cycle(5)
+            g = g.with_lengths({edge_key(str(k), str((k + 1) % 5)): ell[k] for k in range(5)})
+            geo = GeodesicTable(g)
+            action_plain(g, geo)
+            far = [ell[(k + 2) % 5] + ell[(k + 3) % 5] for k in range(5)]
+            solves = sum(f < sum(ell) - f for f in far)
+            assert len(geo._blocks) == solves
+            solving.add(solves)
+        assert min(solving) < 5 == max(solving)
 
 
 def fig1_graph():
