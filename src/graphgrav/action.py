@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .curvature import edge_curvatures, kappa_tree_closed
 from .dynamics import _require_tree
-from .errors import NonpositiveInput, NonUniqueInwardEdge, NotComplete, NotHexRegion
+from .errors import BadParams, NonUniqueInwardEdge, NotComplete, NotHexRegion
 from .graph import GeodesicTable, Region, WeightedGraph, _require_edges, edge_key, sigma_edges
 
 
@@ -118,7 +118,7 @@ def boundary_term(p_inv: float, c_out: float, d_out: float) -> float:
 def boundary_minimizer(c_out: float, d_out: float) -> float:
     """Inward length minimizing the boundary term: 1/C + sqrt(1/C^2 + 1/D)."""
     if not c_out > 0 or not d_out > 0:
-        raise NonpositiveInput("boundary sums must be positive")
+        raise BadParams("boundary sums must be positive")
     return 1.0 / c_out + math.sqrt(1.0 / (c_out * c_out) + 1.0 / d_out)
 
 

@@ -332,7 +332,9 @@ def build_parser():
     p.add_argument("boundary")
     p.add_argument("--init")
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--restarts", type=int, default=0)
+    p.add_argument("--restarts", type=int, default=0,
+                   help="random starts after the first: up to 1 + RESTARTS run until one "
+                   "converges; restarts_used is the 0-based index of the last start run")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out")
     p.set_defaults(func=cmd_solve_eom)
@@ -341,7 +343,8 @@ def build_parser():
     p.add_argument("graph")
     p.add_argument("--objective", choices=["min", "max"], required=True)
     p.add_argument("--fixed")
-    p.add_argument("--restarts", type=int, default=20)
+    p.add_argument("--restarts", type=int, default=20,
+                   help="Nelder-Mead starts: max(1, RESTARTS) run; restarts_used is that count")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out")
     p.set_defaults(func=cmd_search)

@@ -19,14 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadParams,
-    NegativeDiscriminant,
-    NonpositiveScale,
-    NotATree,
-    QNotOdd,
-    RatioNotGreaterThanOne,
-)
+from .errors import BadParams, NotATree
 from .graph import Region, WeightedGraph, _check_length, _require_edges, edge_key
 
 
@@ -168,14 +161,14 @@ def verify_solution(g: WeightedGraph, setting: Setting, tol: float = 1e-9) -> Eo
 def scale_setting(setting: Setting, lam: float) -> Setting:
     """Divide every length by lam; solutions stay solutions."""
     if not lam > 0:
-        raise NonpositiveScale("scale factor must be positive to keep lengths positive")
+        raise BadParams("scale factor must be positive to keep lengths positive")
     return Setting({key: ell / lam for key, ell in setting.lengths.items()})
 
 
 def t1_next_ratios(r: float):
     """Inverse-length ratios admissible after r on a line solution."""
     if not r > 1:
-        raise RatioNotGreaterThanOne(f"ratio must exceed 1, got {r}")
+        raise BadParams(f"ratio must exceed 1, got {r}")
     return tuple(sorted({r, (r + 1.0) / (r - 1.0)}))
 
 
@@ -206,9 +199,9 @@ def geometric_half_half_stats(q: int, r: float):
     The formulas need an even vertex degree, so q must be odd.
     """
     if q < 1 or q % 2 == 0:
-        raise QNotOdd(f"q must be odd and >= 1, got {q}")
+        raise BadParams(f"q must be odd and >= 1, got {q}")
     if not r > 0:
-        raise NonpositiveScale(f"progression ratio must be positive, got {r}")
+        raise BadParams(f"progression ratio must be positive, got {r}")
     kappa = (3.0 - q) / (1.0 + q) - 2.0 * r / (1.0 + r * r)
     ratio = (q + 1.0) * (1.0 + r) ** 2 / (2.0 * (1.0 + r * r))
     return kappa, ratio
@@ -221,7 +214,7 @@ def two_progression_x(alpha: float, y: float):
     scale alpha and first ratio y; the caller filters for positivity.
     """
     if not alpha > 0 or not y > 0:
-        raise NonpositiveScale("alpha and y must be positive")
+        raise BadParams("alpha and y must be positive")
     a = alpha * y * (y + 1.0) - (y * y + 1.0)
     b = -(y * y + 1.0)
     c = alpha * y * (y + 1.0)
@@ -230,6 +223,6 @@ def two_progression_x(alpha: float, y: float):
         return (-c / b,)
     disc = b * b - 4.0 * a * c
     if disc < 0:
-        raise NegativeDiscriminant(f"discriminant {disc} is negative")
+        raise BadParams(f"discriminant {disc} is negative")
     root = math.sqrt(disc)
     return tuple(sorted({(-b - root) / (2.0 * a), (-b + root) / (2.0 * a)}))

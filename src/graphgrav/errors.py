@@ -1,8 +1,18 @@
-"""Exception types raised by graphgrav operations."""
+"""Exception types raised by graphgrav operations.
+
+A value outside the function's domain (t outside (0, 1), an even q, a
+ratio r <= 1, a scale that is not positive, an empty vertex list, ...)
+raises ``BadParams``.  A class of its own is kept only for a fault of the
+graph, region or distribution, or for a failed computation.
+"""
 
 
 class GraphGravError(Exception):
     """Base class for all graphgrav errors."""
+
+
+class BadParams(GraphGravError):
+    """An argument outside the function's domain."""
 
 
 # graph construction / lookup
@@ -31,6 +41,18 @@ class NotAnEdge(GraphGravError):
     pass
 
 
+class NotATree(GraphGravError):
+    pass
+
+
+class NotComplete(GraphGravError):
+    pass
+
+
+class TooLarge(GraphGravError):
+    pass
+
+
 # regions
 
 class EmptyRegion(GraphGravError):
@@ -49,79 +71,17 @@ class NotHexRegion(GraphGravError):
     pass
 
 
-# transport and curvature
-
-class TOutOfRange(GraphGravError):
-    pass
-
+# distributions
 
 class UnbalancedMass(GraphGravError):
     pass
 
 
+# failed computations
+
 class NoConvergence(GraphGravError):
     pass
 
 
-# tree dynamics
-
-class NotATree(GraphGravError):
-    pass
-
-
-class RatioNotGreaterThanOne(GraphGravError):
-    pass
-
-
-class NonpositiveScale(GraphGravError):
-    pass
-
-
-class QNotOdd(GraphGravError):
-    pass
-
-
-class NegativeDiscriminant(GraphGravError):
-    pass
-
-
-# action
-
-class NonpositiveInput(GraphGravError):
-    pass
-
-
-class NotComplete(GraphGravError):
-    pass
-
-
-# generators
-
-class BadParams(GraphGravError):
-    pass
-
-
-class TooLarge(GraphGravError):
-    pass
-
-
-class NotPerfect(GraphGravError):
-    pass
-
-
-class InvalidRatioChain(GraphGravError):
-    pass
-
-
-class InconsistentParams(GraphGravError):
-    pass
-
-
-# search
-
 class SingularJacobian(GraphGravError):
-    pass
-
-
-class NoFreeEdges(GraphGravError):
     pass

@@ -9,13 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dynamics import Setting, t1_next_ratios
-from .errors import (
-    BadParams,
-    InconsistentParams,
-    InvalidRatioChain,
-    NotPerfect,
-    TooLarge,
-)
+from .errors import BadParams, TooLarge
 from .graph import Region, WeightedGraph, build_graph, edge_key, extract_region
 
 MAX_TREE_VERTICES = 100_000
@@ -131,7 +125,7 @@ def matching_setting(g: WeightedGraph, m: Matching, eps: float) -> Setting:
     every length positive.
     """
     if not m.is_perfect(g):
-        raise NotPerfect("matching does not cover every vertex")
+        raise BadParams("matching does not cover every vertex")
     return Setting({key: float(eps) if key in m.edges else 1.0 for key in g.lengths()})
 
 
@@ -178,7 +172,7 @@ def half_half_setting(q: int, depth: int, ratios) -> Setting:
     of the first.
     """
     if q < 1 or q % 2 == 0:
-        raise InvalidRatioChain(f"half-half settings need odd q, got {q}")
+        raise BadParams(f"half-half settings need odd q, got {q}")
     if depth < 1:
         raise BadParams("need depth >= 1")
     n_trans = 2 * depth
@@ -187,19 +181,15 @@ def half_half_setting(q: int, depth: int, ratios) -> Setting:
     else:
         chain = [float(r) for r in ratios]
     if len(chain) != n_trans - 1:
-        raise InvalidRatioChain(
-            f"need {n_trans - 1} ratios for depth {depth}, got {len(chain)}"
-        )
+        raise BadParams(f"need {n_trans - 1} ratios for depth {depth}, got {len(chain)}")
     for r in chain:
         if not r > 1.0:
-            raise InvalidRatioChain(f"ratios must exceed 1, got {r}")
+            raise BadParams(f"ratios must exceed 1, got {r}")
     r0 = chain[0]
     admissible = t1_next_ratios(r0)
     for r in chain:
         if min(abs(r - a) for a in admissible) > 1e-9:
-            raise InvalidRatioChain(
-                f"ratio {r} is outside the admissible pair for r0={r0}"
-            )
+            raise BadParams(f"ratio {r} is outside the admissible pair for r0={r0}")
     # inverse lengths per level transition, lowest level first
     inv = [1.0]
     for r in chain:
@@ -225,9 +215,9 @@ def two_progression_setting(q: int, m: int, s: int, alpha: float, x: float, y: f
     x or 1/x, and along an s-class edge by y or 1/y.
     """
     if m < 0 or s < 0 or 2 * (m + s) != q + 1:
-        raise InconsistentParams(f"need 2(m+s) = q+1, got m={m} s={s} q={q}")
+        raise BadParams(f"need 2(m+s) = q+1, got m={m} s={s} q={q}")
     if not (alpha > 0 and x > 0 and y > 0):
-        raise InconsistentParams("alpha, x, y must all be positive")
+        raise BadParams("alpha, x, y must all be positive")
     if depth < 1:
         raise BadParams("need depth >= 1")
     rel = {"u": 1.0, "x": float(x), "a": float(alpha), "ay": float(alpha) * float(y)}

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import (
+    BadParams,
     Disconnected,
     DisconnectedRegion,
     DuplicateEdge,
@@ -119,11 +120,12 @@ def build_graph(vertex_ids, weighted_edges):
     """Validate and build a WeightedGraph.
 
     ``weighted_edges`` is an iterable of (u, v, length) triples.  Raises
-    SelfLoop, UnknownVertex, NonpositiveLength, DuplicateEdge, or Disconnected.
+    BadParams on no vertices, else SelfLoop, UnknownVertex,
+    NonpositiveLength, DuplicateEdge, or Disconnected.
     """
     vertices = list(dict.fromkeys(vertex_ids))
     if not vertices:
-        raise EmptyRegion("graph needs at least one vertex")
+        raise BadParams("graph needs at least one vertex")
     vset = set(vertices)
     lengths = {}
     adj = {v: [] for v in vertices}

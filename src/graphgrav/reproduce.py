@@ -42,7 +42,7 @@ from .generators import (
 )
 from .graph import GeodesicTable, build_graph, edge_key, extract_region, sigma_edges
 from .search import newton_solve_teom
-from .transport import _certificate_gap, _supports, _transportation_simplex, neighbor_distribution
+from .transport import _certificate_gap, _transport_problem, _transportation_simplex, neighbor_distribution
 
 SEED = 42
 
@@ -257,8 +257,7 @@ def criterion_11() -> CriterionResult:
         mu = neighbor_distribution(g, geo, u, t)
         nu = neighbor_distribution(g, geo, v, t)
         # the optimality certificate of the solve wasserstein makes
-        sources, sinks, supply, demand = _supports(g, mu, nu)
-        cost, cells = geo.cost_block(sources, sinks)
+        _, _, supply, demand, cost, cells = _transport_problem(g, geo, mu, nu)
         flow, pot_u, pot_v = _transportation_simplex(supply, demand, cost, cells)
         gap = _certificate_gap(supply, demand, cost, flow, pot_u, pot_v)
         worst_gap = max(worst_gap, gap)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .action import action_plain
 from .dynamics import Setting, _require_tree, _tree_system, _unit_scaled, interior_edges
-from .errors import BadParams, NoFreeEdges, SingularJacobian
+from .errors import BadParams, SingularJacobian
 from .graph import GeodesicTable, WeightedGraph, _require_edges
 
 LOG_LENGTH_LO = math.log(1e-6)
@@ -52,7 +52,9 @@ def newton_solve_teom(
     is kept; the objective reported is its final maximum absolute residual.
     Start 0 is ``init`` when given; every other start puts each free
     log-length at the mean log of the boundary lengths plus U[-0.3, 0.3],
-    drawn from ``seed``.
+    drawn from ``seed``.  ``restarts_used`` is the 0-based index of the last
+    start run: the one kept when it converges, else ``restarts`` (0 when no
+    edge is free, which takes one start).
 
     Free lengths are confined to [1e-6, 1e3].  The truncated equations have
     spurious residual valleys in which a cluster of sibling edges shrinks to
@@ -146,7 +148,8 @@ def extremize_action(
     seed: int = 42,
 ) -> SearchResult:
     """Nelder-Mead over the log-lengths of the free edges, restarted from
-    random interior points of the box [1e-6, 1e3].
+    random interior points of the box [1e-6, 1e3].  max(1, ``restarts``)
+    starts are run, the best kept, and ``restarts_used`` reports that count.
 
     The action is invariant under a common rescaling of all lengths, so when
     every edge is free the best setting is rescaled to the geometric mean
@@ -158,7 +161,7 @@ def extremize_action(
     fixed_map = dict(fixed.lengths) if fixed is not None else {}
     free = [key for key in g.edges if key not in fixed_map]
     if not free:
-        raise NoFreeEdges("no free edges to vary")
+        raise BadParams("no free edges to vary")
     sign = -1.0 if objective == "max" else 1.0
 
     def lengths_at(x):

@@ -26,27 +26,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import TOutOfRange, UnbalancedMass, UnknownVertex
+from .errors import BadParams, UnbalancedMass, UnknownVertex
 from .graph import GeodesicTable, WeightedGraph
 
-MASS_TOL = 1e-12
 MAX_PIVOTS = 100000
 
 
 @dataclass(frozen=True)
 class Distribution:
-    """Sparse probability mass over vertices; masses sum to 1."""
+    """Sparse probability mass over vertices: masses >= 0 that sum to 1 within 1e-10."""
 
     mass: dict
 
     def __post_init__(self):
         total = 0.0
         for v, m in self.mass.items():
-            if not m >= -MASS_TOL:  # NaN fails too
+            if not m >= 0:  # NaN fails too
                 raise UnbalancedMass(f"mass {m} at {v!r} is not a nonnegative number")
             total += m
-        if not abs(total - 1.0) <= 1e-10:
-            raise UnbalancedMass(f"masses sum to {total}, expected 1")
+        _require_unit_total(total)
 
     @property
     def support(self):
@@ -71,7 +69,7 @@ def neighbor_distribution(g: WeightedGraph, geo: GeodesicTable, i, t: float) -> 
     """Lazy-walk distribution: keeps 1-t at i and spreads t over the neighbors
     proportionally to the inverse squared geodesic length."""
     if not 0.0 < t < 1.0:
-        raise TOutOfRange(f"t must lie in (0, 1), got {t}")
+        raise BadParams(f"t must lie in (0, 1), got {t}")
     _, inv2, pairs = geo.walk(i)
     mass = {i: 1.0 - t}
     for w, p in pairs:
@@ -88,8 +86,7 @@ def wasserstein(g: WeightedGraph, geo: GeodesicTable, mu: Distribution, nu: Dist
     termination is guaranteed.  The cost matrix and its cell order come
     from ``geo.cost_block``, built once per pair of supports.
     """
-    sources, sinks, supply, demand = _supports(g, mu, nu)
-    cost, cells = geo.cost_block(sources, sinks)
+    sources, sinks, supply, demand, cost, cells = _transport_problem(g, geo, mu, nu)
     flow, _, _ = _transportation_simplex(supply, demand, cost, cells)
     flows = {}
     unit_costs = {}
@@ -103,16 +100,24 @@ def wasserstein(g: WeightedGraph, geo: GeodesicTable, mu: Distribution, nu: Dist
     return TransportPlan(flows=flows, unit_costs=unit_costs, cost=total)
 
 
-def _supports(g, mu, nu):
-    """The supports of mu and nu, each read once and checked against g, and
-    their masses, after checking that mu and nu carry the same total."""
+def _require_unit_total(total):
+    """The mass rule of a distribution: its masses sum to 1 within 1e-10."""
+    if not abs(total - 1.0) <= 1e-10:  # NaN fails too
+        raise UnbalancedMass(f"masses sum to {total}, expected 1")
+
+
+def _transport_problem(g, geo, mu, nu):
+    """The problem ``wasserstein`` solves: the supports of mu and nu, checked
+    against g, their masses, each total checked again (a distribution built
+    around ``__post_init__`` may break the rule), the cost block and its cells."""
     sources, sinks = mu.support, nu.support
     for v in (*sources, *sinks):
         if v not in g:
             raise UnknownVertex(f"distribution has mass at unknown vertex {v!r}")
-    if not abs(sum(mu.mass.values()) - sum(nu.mass.values())) <= 1e-10:  # NaN fails too
-        raise UnbalancedMass("distributions carry different total mass")
-    return sources, sinks, [mu(v) for v in sources], [nu(v) for v in sinks]
+    _require_unit_total(sum(mu.mass.values()))
+    _require_unit_total(sum(nu.mass.values()))
+    cost, cells = geo.cost_block(sources, sinks)
+    return sources, sinks, [mu(v) for v in sources], [nu(v) for v in sinks], cost, cells
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from graphgrav import (
 )
 from graphgrav.curvature import _kappa_transport
 from graphgrav.errors import (
-    NonpositiveInput,
+    BadParams,
     NonUniqueInwardEdge,
     NotAnEdge,
     NotATree,
@@ -225,7 +225,7 @@ class TestBoundaryMinimizer:
         assert 0.5 * (lo + hi) == pytest.approx(best_p, abs=1e-6)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(NonpositiveInput):
+        with pytest.raises(BadParams, match="boundary sums must be positive"):
             boundary_minimizer(0.0, 1.0)
 
 

@@ -462,6 +462,12 @@ class TestExitCodes:
         assert main(["gen", "tree", "--depth", "60"]) == 3
         assert "TooLarge" in capsys.readouterr().err
 
+    def test_hex_radius_zero_is_refused(self, capsys):
+        assert main(["gen", "hex", "--radius", "0"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "invariant violation: BadParams: radius must be >= 1\n"
+
 
 def _prefix_tree():
     # "a" is a prefix of "a b", whose next character sorts below the quote

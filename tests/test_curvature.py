@@ -21,7 +21,7 @@ from graphgrav import (
     HexRegionSpec,
 )
 from graphgrav.curvature import _kappa_transport
-from graphgrav.errors import NotAnEdge, TOutOfRange
+from graphgrav.errors import BadParams, NotAnEdge
 
 from conftest import connected_graphs, random_connected_graph
 
@@ -49,7 +49,7 @@ class TestKappaT:
             kappa_t(line3, line3_geo, "a", "c", 0.3)
 
     def test_t_out_of_range(self, line3, line3_geo):
-        with pytest.raises(TOutOfRange):
+        with pytest.raises(BadParams, match=r"t must lie in \(0, 1\), got 1.0"):
             kappa_t(line3, line3_geo, "a", "b", 1.0)
 
     def test_limit_reports_no_convergence(self, line3, line3_geo, monkeypatch):

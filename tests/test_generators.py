@@ -27,10 +27,7 @@ from graphgrav import (
 )
 from graphgrav.errors import (
     BadParams,
-    InconsistentParams,
-    InvalidRatioChain,
     NonpositiveLength,
-    NotPerfect,
     TooLarge,
 )
 from graphgrav.graph import WeightedGraph
@@ -176,7 +173,7 @@ class TestMatchings:
 
     def test_matching_setting_requires_perfect(self):
         g = gen_complete(4)
-        with pytest.raises(NotPerfect):
+        with pytest.raises(BadParams, match="matching does not cover every vertex"):
             matching_setting(g, Matching(frozenset({("0", "1")})), 1e-4)
 
     def test_action_trend_toward_vertex_count(self):
@@ -192,6 +189,11 @@ class TestMatchings:
 
 
 class TestHexRegion:
+    @pytest.mark.parametrize("radius", [0, -1])
+    def test_rejects_radius_below_one(self, radius):
+        with pytest.raises(BadParams, match="radius must be >= 1"):
+            HexRegionSpec(radius)
+
     def test_single_hexagon(self):
         g, region = gen_hex_region(HexRegionSpec(1))
         assert len(region.interior) == 6
@@ -286,19 +288,19 @@ class TestHalfHalf:
                 assert kappa_tree_closed(g2, geo, u, v) == pytest.approx(want, abs=1e-9)
 
     def test_rejects_constant_chain(self):
-        with pytest.raises(InvalidRatioChain):
+        with pytest.raises(BadParams, match="ratios must exceed 1, got 1.0"):
             half_half_setting(3, 3, 1.0)
 
     def test_rejects_even_q(self):
-        with pytest.raises(InvalidRatioChain):
+        with pytest.raises(BadParams, match="half-half settings need odd q, got 2"):
             half_half_setting(2, 3, 2.0)
 
     def test_rejects_wrong_chain_length(self):
-        with pytest.raises(InvalidRatioChain):
+        with pytest.raises(BadParams, match="need 5 ratios for depth 3, got 2"):
             half_half_setting(3, 3, [2.0, 3.0])
 
     def test_rejects_off_family_ratio(self):
-        with pytest.raises(InvalidRatioChain):
+        with pytest.raises(BadParams, match="ratio 2.5 is outside the admissible pair for r0=2.0"):
             half_half_setting(3, 3, [2.0, 3.0, 2.5, 2.0, 3.0])
 
     def test_rejects_depth_zero(self):
@@ -341,12 +343,12 @@ class TestTwoProgression:
             assert incident[3] / incident[1] == pytest.approx(x)
 
     def test_rejects_inconsistent_counts(self):
-        with pytest.raises(InconsistentParams):
+        with pytest.raises(BadParams, match=r"need 2\(m\+s\) = q\+1, got m=2 s=1 q=3"):
             two_progression_setting(3, 2, 1, 0.25, 0.5, 3.0, 3)
 
     @pytest.mark.parametrize("alpha", [0.0, -0.25])
     def test_rejects_nonpositive_alpha(self, alpha):
-        with pytest.raises(InconsistentParams, match="positive"):
+        with pytest.raises(BadParams, match="alpha, x, y must all be positive"):
             two_progression_setting(3, 1, 1, alpha, 0.5, 3.0, 3)
 
     def test_rejects_depth_zero(self):

@@ -23,6 +23,7 @@ from graphgrav import (
     sigma_edges,
 )
 from graphgrav.errors import (
+    BadParams,
     Disconnected,
     DisconnectedRegion,
     DuplicateEdge,
@@ -88,7 +89,7 @@ class TestBuildGraph:
                 make()
 
     def test_rejects_no_vertices(self):
-        with pytest.raises(EmptyRegion, match="at least one vertex"):
+        with pytest.raises(BadParams, match="graph needs at least one vertex"):
             build_graph([], [])
 
     def test_neighbors_of_unknown_vertex(self, line3):

@@ -80,3 +80,40 @@ def test_every_definition_is_referenced():
         if name not in referenced
     ]
     assert dead == []
+
+
+def raised_names(source):
+    """Names of the exceptions a module's ``raise`` statements raise, called
+    (``raise E(...)``) or not, bare or as an attribute (``errors.E``)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                names.add(exc.attr)
+    return names
+
+
+def error_classes(source):
+    """The classes an errors module defines, less those it derives others
+    from: a base class is caught, not raised."""
+    classes = [node for node in ast.parse(source).body if isinstance(node, ast.ClassDef)]
+    bases = {base.id for node in classes for base in node.bases if isinstance(base, ast.Name)}
+    return [node.name for node in classes if node.name not in bases]
+
+
+def test_finds_an_unraised_error():
+    errors = "class Base(Exception):\n    pass\n\nclass Used(Base):\n    pass\n\nclass Named(Base):\n    pass\n"
+    module = "def f(x):\n    if x:\n        raise errors.Used('x')\n    return Named\n"
+    assert error_classes(errors) == ["Used", "Named"]
+    assert [name for name in error_classes(errors) if name not in raised_names(module)] == ["Named"]
+
+
+def test_every_error_is_raised():
+    """Every class of errors.py is raised by a ``raise`` statement in src/;
+    one that only tests name, or that is only caught, guards nothing."""
+    package = ROOT / "src" / "graphgrav"
+    raised = set().union(*(raised_names(p.read_text()) for p in package.glob("*.py")))
+    assert [name for name in error_classes((package / "errors.py").read_text()) if name not in raised] == []

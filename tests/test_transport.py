@@ -13,9 +13,9 @@ from graphgrav import (
     neighbor_distribution,
     wasserstein,
 )
-from graphgrav.errors import TOutOfRange, UnbalancedMass, UnknownVertex
+from graphgrav.errors import BadParams, UnbalancedMass, UnknownVertex
 from graphgrav.graph import cells_by_cost
-from graphgrav.transport import _certificate_gap, _least_cost_start, _supports, _transportation_simplex
+from graphgrav.transport import _certificate_gap, _least_cost_start, _transport_problem, _transportation_simplex
 
 from conftest import _min_cost_flow, random_connected_graph, wasserstein_oracle
 
@@ -36,7 +36,7 @@ class TestNeighborDistribution:
 
     @pytest.mark.parametrize("t", [0.0, 1.0, -0.2, 1.5])
     def test_t_range(self, line3, line3_geo, t):
-        with pytest.raises(TOutOfRange):
+        with pytest.raises(BadParams, match=r"t must lie in \(0, 1\)"):
             neighbor_distribution(line3, line3_geo, "b", t)
 
     def test_sums_to_one(self, rng):
@@ -85,6 +85,22 @@ class TestWasserstein:
         with pytest.raises(UnbalancedMass, match="sum to"):
             Distribution({"a": 0.7, "b": 0.2})
 
+    def test_masses_must_be_nonnegative(self):
+        with pytest.raises(UnbalancedMass, match="not a nonnegative number"):
+            Distribution({"a": -1e-13, "b": 1.0 + 1e-13})
+
+    def test_solves_every_pair_that_passes_the_mass_rule(self):
+        # each total lies within 1e-10 of 1, as Distribution requires, and
+        # the two totals differ by 1.8e-10
+        g = gen_complete(3)
+        geo = GeodesicTable(g)
+        mu = Distribution({"0": 0.5 + 0.9e-10, "1": 0.5})
+        nu = Distribution({"1": 0.5 - 0.9e-10, "2": 0.5})
+        assert wasserstein(g, geo, mu, nu).cost == pytest.approx(0.5)
+        _, _, supply, demand, cost, cells = _transport_problem(g, geo, mu, nu)
+        flow, pot_u, pot_v = _transportation_simplex(supply, demand, cost, cells)
+        assert _certificate_gap(supply, demand, cost, flow, pot_u, pot_v) < 1e-8
+
     @pytest.mark.parametrize("solve", [wasserstein, wasserstein_oracle])
     def test_nan_mass_rejected(self, line3, line3_geo, solve):
         # NaN fails every comparison, so it must fail the checks, not pass them
@@ -124,8 +140,7 @@ class TestWasserstein:
                 assert m == pytest.approx(nu(b), abs=1e-10)
             # the optimality certificate of the simplex that wasserstein
             # runs, on the same cost block
-            sources, sinks, supply, demand = _supports(g, mu, nu)
-            cost, cells = geo.cost_block(sources, sinks)
+            _, _, supply, demand, cost, cells = _transport_problem(g, geo, mu, nu)
             flow, pot_u, pot_v = _transportation_simplex(supply, demand, cost, cells)
             assert _certificate_gap(supply, demand, cost, flow, pot_u, pot_v) < 1e-9
 
@@ -330,8 +345,7 @@ class TestCertificate:
             t = rng.uniform(0.1, 0.9)
             mu = neighbor_distribution(g, geo, x, t)
             nu = neighbor_distribution(g, geo, y, t)
-            sources, sinks, supply, demand = _supports(g, mu, nu)
-            yield (supply, demand, *geo.cost_block(sources, sinks))
+            yield _transport_problem(g, geo, mu, nu)[2:]
 
     @staticmethod
     def _assert_separates(problems):
