@@ -35,7 +35,6 @@ from .dynamics import (
 from .errors import GraphGravError
 from .generators import (
     HexRegionSpec,
-    Matching,
     constant_setting,
     find_perfect_matching,
     gen_complete,

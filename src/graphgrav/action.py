@@ -2,7 +2,7 @@
 bounds, and the complete-graph partial-cost action.
 
 The closed forms for regions apply on trees whose boundary vertices each
-have a unique edge into the region interior; the extrinsic-curvature term is
+have a unique edge into the region; the extrinsic-curvature term is
 never materialized, only the summed expression every bound uses.
 """
 
@@ -38,23 +38,23 @@ def action_plain(g: WeightedGraph, geo: GeodesicTable, edge_set=None) -> ActionR
 
 
 def _closed_form_parts(g, geo, region):
-    """The closed-form curvature of every edge of E(Sigma), and the interior
-    vertex sum of 2 - c^2/d in a fixed vertex order."""
+    """The closed-form curvature of every edge of E(Sigma), the interior
+    vertex sum of 2 - c^2/d, and (i0, walk of i) for each boundary vertex i
+    in a fixed order, i0 being its one neighbour in the region; raises
+    NonUniqueInwardEdge if i has none or more than one."""
+    verts = region.vertices
+    boundary = []
+    for i in sorted(region.boundary_vertices, key=repr):
+        inward = [j for j in g.neighbors(i) if j in verts]
+        if len(inward) != 1:
+            raise NonUniqueInwardEdge(f"boundary vertex {i!r} has {len(inward)} edges into the region")
+        boundary.append((inward[0], geo.walk(i)))
     per_edge = {(u, v): kappa_tree_closed(g, geo, u, v) for u, v in sigma_edges(g, region)}
     interior = 0.0
     for i in sorted(region.interior, key=repr):
         c, d, _ = geo.walk(i)
         interior += 2.0 - c * c / d
-    return per_edge, interior
-
-
-def _inward_edge(g, region, i):
-    inward = [j for j in g.neighbors(i) if j in region.interior]
-    if len(inward) != 1:
-        raise NonUniqueInwardEdge(
-            f"boundary vertex {i!r} has {len(inward)} edges into the interior"
-        )
-    return inward[0]
+    return per_edge, interior, boundary
 
 
 def action_ghy(g: WeightedGraph, region: Region) -> ActionReport:
@@ -62,15 +62,13 @@ def action_ghy(g: WeightedGraph, region: Region) -> ActionReport:
 
         sum_interior (2 - c_i^2/d_i)  -  sum_boundary c_i^2/d_i
 
-    Requires a tree whose boundary vertices each have a unique inward edge.
-    The lengths of edges leaving the region enter through the boundary c, d.
+    Requires a tree whose boundary vertices each have a unique edge into the
+    region.  The lengths of edges leaving it enter through the boundary c, d.
     """
     _require_tree(g)
     geo = GeodesicTable(g)
-    per_edge, total = _closed_form_parts(g, geo, region)
-    for i in sorted(region.boundary_vertices, key=repr):
-        _inward_edge(g, region, i)
-        c, d, _ = geo.walk(i)
+    per_edge, total, boundary = _closed_form_parts(g, geo, region)
+    for _, (c, d, _) in boundary:
         total -= c * c / d
     return ActionReport(
         total=total,
@@ -86,15 +84,13 @@ def action_region_plain(g: WeightedGraph, region: Region) -> ActionReport:
 
         2 P^-2 / (P^-2 + D_i)  -  P^-1 (P^-1 + C_i) / (P^-2 + D_i)
 
-    through their unique inward edge of length P."""
+    through their unique edge into the region, of length P."""
     _require_tree(g)
     geo = GeodesicTable(g)
-    per_edge, total = _closed_form_parts(g, geo, region)
-    for i in sorted(region.boundary_vertices, key=repr):
-        i0 = _inward_edge(g, region, i)
-        c_out = 0.0
-        d_out = 0.0
-        for j, p in geo.walk(i)[2]:
+    per_edge, total, boundary = _closed_form_parts(g, geo, region)
+    for i0, (_, _, pairs) in boundary:
+        c_out = d_out = 0.0
+        for j, p in pairs:
             if j == i0:
                 p_inv = 1.0 / p
             else:
@@ -130,8 +126,8 @@ def tree_action_hex(g: WeightedGraph, geo: GeodesicTable, region: Region) -> Act
     sum_interior (2 - c^2/d) - sum_boundary 1/3, which matches ``total``
     whenever the boundary-incident lengths are constant."""
     _require_hex_region(g, region)
-    per_edge, identity = _closed_form_parts(g, geo, region)
-    identity -= len(region.boundary_vertices) / 3.0
+    per_edge, identity, boundary = _closed_form_parts(g, geo, region)
+    identity -= len(boundary) / 3.0
     return ActionReport(
         total=sum(per_edge.values()),
         per_edge=per_edge,
@@ -145,13 +141,6 @@ def _require_hex_region(g, region):
     for i in region.interior:
         if g.degree(i) != 3:
             raise NotHexRegion(f"interior vertex {i!r} has degree {g.degree(i)}, need 3")
-    verts = region.vertices
-    for i in region.boundary_vertices:
-        inside = sum(1 for j in g.neighbors(i) if j in verts)
-        if inside != 1:
-            raise NotHexRegion(
-                f"boundary vertex {i!r} has {inside} edges inside the region, need 1"
-            )
 
 
 def bound_upper_global(g: WeightedGraph) -> float:

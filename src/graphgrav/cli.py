@@ -333,8 +333,8 @@ def build_parser():
     p.add_argument("--init")
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--restarts", type=int, default=0,
-                   help="random starts after the first: up to 1 + RESTARTS run until one "
-                   "converges; restarts_used is the 0-based index of the last start run")
+                   help="random starts after the first (RESTARTS >= 0): up to 1 + RESTARTS run "
+                   "until one converges; restarts_used is the 0-based index of the start kept")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out")
     p.set_defaults(func=cmd_solve_eom)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .dynamics import Setting, t1_next_ratios
 from .errors import BadParams, TooLarge
-from .graph import Region, WeightedGraph, build_graph, edge_key, extract_region
+from .graph import Region, WeightedGraph, _require_edges, build_graph, edge_key, extract_region
 
 MAX_TREE_VERTICES = 100_000
 
@@ -70,27 +70,9 @@ def constant_setting(g: WeightedGraph, a: float) -> Setting:
 # perfect matchings
 
 
-@dataclass(frozen=True)
-class Matching:
-    """A set of pairwise vertex-disjoint edges."""
-
-    edges: frozenset
-
-    def __post_init__(self):
-        seen = set()
-        for u, v in self.edges:
-            if u in seen or v in seen:
-                raise BadParams("matching edges share a vertex")
-            seen.add(u)
-            seen.add(v)
-
-    def is_perfect(self, g: WeightedGraph) -> bool:
-        return {v for edge in self.edges for v in edge} == set(g.vertices)
-
-
 def find_perfect_matching(g: WeightedGraph):
-    """A perfect matching of g, or None.  Exhaustive with memoized failure
-    states; limited to 24 vertices."""
+    """A perfect matching of g as a frozenset of edge keys, or None.
+    Exhaustive with memoized failure states; limited to 24 vertices."""
     verts = g.vertices
     if len(verts) > 24:
         raise TooLarge("perfect-matching search is capped at 24 vertices")
@@ -113,20 +95,23 @@ def find_perfect_matching(g: WeightedGraph):
         return None
 
     picked = extend(frozenset(verts))
-    if picked is None:
-        return None
-    return Matching(edges=frozenset(picked))
+    return None if picked is None else frozenset(picked)
 
 
-def matching_setting(g: WeightedGraph, m: Matching, eps: float) -> Setting:
-    """Matched edges get length eps, the rest length 1.
+def matching_setting(g: WeightedGraph, m: frozenset, eps: float) -> Setting:
+    """Matched edges get length eps, the rest length 1.  The edge keys in m
+    must cover every vertex of g exactly once.
 
     Driving eps to zero realizes the degenerate matching limit while keeping
     every length positive.
     """
-    if not m.is_perfect(g):
+    _require_edges(g, m)
+    covered = {v for edge in m for v in edge}
+    if len(covered) < 2 * len(m):
+        raise BadParams("matching edges share a vertex")
+    if len(covered) < len(g.vertices):
         raise BadParams("matching does not cover every vertex")
-    return Setting({key: float(eps) if key in m.edges else 1.0 for key in g.lengths()})
+    return Setting({key: float(eps) if key in m else 1.0 for key in g.lengths()})
 
 
 # ---------------------------------------------------------------------------

@@ -48,19 +48,22 @@ def newton_solve_teom(
     at least every non-interior edge; fixing interior edges as well is
     allowed and leaves an overdetermined system, solved in the
     least-squares sense.  Up to 1 + ``restarts`` starts are run until one
-    passes ``verify_solution`` at tol, else the one with the least residual
-    is kept; the objective reported is its final maximum absolute residual.
-    Start 0 is ``init`` when given; every other start puts each free
-    log-length at the mean log of the boundary lengths plus U[-0.3, 0.3],
-    drawn from ``seed``.  ``restarts_used`` is the 0-based index of the last
-    start run: the one kept when it converges, else ``restarts`` (0 when no
-    edge is free, which takes one start).
+    passes ``verify_solution`` at tol, else the first with the least
+    residual is kept; ``restarts_used`` is its 0-based index and the
+    objective its final maximum absolute residual.  Start 0 is ``init`` when
+    given; every other start puts each free log-length at the mean log of
+    the boundary lengths plus U[-0.3, 0.3], drawn from ``seed``.
 
-    Free lengths are confined to [1e-6, 1e3].  The truncated equations have
-    spurious residual valleys in which a cluster of sibling edges shrinks to
-    zero together; their residuals fall below any usable tolerance only
-    outside this box, so the box keeps a converged run meaningful.
+    The run reads the boundary and ``init`` scaled exactly by the power of
+    two that brings the boundary's geometric mean nearest 1, and scales its
+    result back; at that scale free lengths are confined to [1e-6, 1e3].
+    The truncated equations have spurious residual valleys in which a
+    cluster of sibling edges shrinks to zero together; their residuals fall
+    below any usable tolerance only outside this box, so the box keeps a
+    converged run meaningful.
     """
+    if restarts < 0:
+        raise BadParams(f"restarts must be >= 0, got {restarts}")
     _require_tree(g)
     interior = interior_edges(g)
     interior_set = set(interior)
@@ -72,31 +75,29 @@ def newton_solve_teom(
     for key in free if init is not None else ():
         if key not in init:
             raise BadParams(f"init must give a length for free edge {key!r}")
-    fixed = dict(boundary.lengths)
+    fixed, k = _unit_scaled(boundary.lengths)
 
     residual, jacobian = _tree_system(g, interior, free, fixed)
-    # Newton stops by the same test at the boundary lengths' power of two,
-    # moved onto tol: exact, and the residuals it steps on stay unscaled
-    run_tol = math.ldexp(tol, -_unit_scaled(fixed)[1])
     rng = best = None
-    for used in range(restarts + 1 if free else 1):
-        if used == 0 and init is not None:
-            x0 = np.array([math.log(init[key]) for key in free], dtype=float)
+    for start in range(restarts + 1 if free else 1):
+        if start == 0 and init is not None:
+            x0 = np.array([math.log(math.ldexp(init[key], k)) for key in free], dtype=float)
         else:
             if rng is None:
                 rng = np.random.default_rng(seed)
                 anchor = float(np.mean([math.log(v) for v in fixed.values()])) if fixed else 0.0
             x0 = anchor + rng.uniform(-0.3, 0.3, size=len(free))
-        x, worst, iterations = _newton_run(residual, jacobian, x0, run_tol)
+        x, worst, iterations = _newton_run(residual, jacobian, x0, tol)
         # np.exp, as the residual that judged x reads it
         lengths = {**fixed, **dict(zip(free, np.exp(x).tolist()))}
         converged = math.ldexp(worst, _unit_scaled(lengths)[1]) < tol
         if best is None or converged or worst < best[1]:
-            best = (lengths, worst, iterations, converged)
+            best = (lengths, worst, iterations, converged, start)
         if converged:
             break
-    lengths, worst, iterations, converged = best
-    return SearchResult(Setting(lengths), worst, iterations, converged, restarts_used=used)
+    lengths, worst, iterations, converged, start = best
+    lengths = {**boundary.lengths, **{key: math.ldexp(lengths[key], -k) for key in free}}
+    return SearchResult(Setting(lengths), math.ldexp(worst, -k), iterations, converged, start)
 
 
 def _outside_box(x):
@@ -151,14 +152,16 @@ def extremize_action(
     random interior points of the box [1e-6, 1e3].  max(1, ``restarts``)
     starts are run, the best kept, and ``restarts_used`` reports that count.
 
-    The action is invariant under a common rescaling of all lengths, so when
-    every edge is free the best setting is rescaled to the geometric mean
-    closest to 1 that keeps every length inside the box.
+    The action is invariant under a common rescaling of all lengths, so the
+    box and the starts are read at the fixed lengths' power of two, as in
+    ``newton_solve_teom``; when every edge is free the best setting is
+    rescaled to the geometric mean closest to 1 that keeps every length
+    inside the box.
     """
     if objective not in ("max", "min"):
         raise BadParams(f"objective must be 'max' or 'min', got {objective}")
     from scipy import optimize
-    fixed_map = dict(fixed.lengths) if fixed is not None else {}
+    fixed_map, k = _unit_scaled(fixed.lengths if fixed is not None else {})
     free = [key for key in g.edges if key not in fixed_map]
     if not free:
         raise BadParams("no free edges to vary")
@@ -200,11 +203,10 @@ def extremize_action(
     if not fixed_map:
         best_x = best_x + np.clip(-np.mean(best_x), LOG_LENGTH_LO - best_x.min(), LOG_LENGTH_HI - best_x.max())
     lengths = lengths_at(best_x)
-    setting = Setting(lengths)
     g2 = g.with_lengths(lengths)
     achieved = action_plain(g2, GeodesicTable(g2)).total
     return SearchResult(
-        setting=setting,
+        setting=Setting({key: math.ldexp(ell, -k) for key, ell in lengths.items()}),
         objective=achieved,
         iterations=evals,
         converged=bool(best is not None and best < 1e8),

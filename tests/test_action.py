@@ -56,6 +56,14 @@ def ball(g, root, radius):
     return [v for v, d in depth.items() if d <= radius]
 
 
+def adjacent_boundary_tree():
+    """A tree and a region of it whose boundary vertices b and c are adjacent."""
+    edges = [("l", "i0", 1.0), ("i0", "b", 1.3), ("b", "c", 0.7), ("c", "j0", 1.1),
+             ("j0", "m", 0.9), ("b", "p", 1.7), ("c", "q", 0.6)]
+    g = build_graph(sorted({v for e in edges for v in e[:2]}), edges)
+    return g, ["l", "i0", "b", "c", "j0", "m"]
+
+
 class TestPlainAction:
     def test_triangle_constant(self):
         g = gen_complete(3)
@@ -163,7 +171,7 @@ class TestGhy:
             action_ghy(g, region)
 
     def test_requires_unique_inward_edge(self):
-        # region with an isolated boundary pair: no edge into the interior
+        # a one-vertex region: its boundary vertex has no edge into the region
         g = build_graph(
             ["0", "1", "2"], [("0", "1", 1.0), ("1", "2", 1.0)]
         )
@@ -171,8 +179,22 @@ class TestGhy:
         with pytest.raises(NonUniqueInwardEdge):
             action_ghy(g, region)
 
+    @pytest.mark.parametrize("action", [action_ghy, action_region_plain])
+    def test_rejects_boundary_vertex_with_two_edges_into_the_region(self, action):
+        # b and c are adjacent boundary vertices: each has one neighbour in
+        # the interior and one, the other, on the boundary
+        g, sigma = adjacent_boundary_tree()
+        with pytest.raises(NonUniqueInwardEdge, match=re.escape("'b' has 2 edges into the region")):
+            action(g, extract_region(g, sigma))
+
 
 class TestRegionPlain:
+    def test_boundary_pair_without_interior(self):
+        # each boundary vertex's one neighbour in the region is the other
+        g, _ = adjacent_boundary_tree()
+        rep = action_region_plain(g, extract_region(g, ["b", "c"]))
+        assert rep.total == pytest.approx(sum(rep.per_edge.values()), abs=1e-12)
+
     def test_matches_direct_sum_on_random_trees(self, rng):
         for q, depth in ((2, 3), (3, 2)):
             g = gen_tree(q, depth)
@@ -270,7 +292,7 @@ class TestHexTreeAction:
         pendant = min(region.boundary_vertices)
         (v,) = [w for w in g.neighbors(pendant) if w in region.vertices]
         cut = extract_region(g, region.vertices - {pendant})
-        with pytest.raises(NotHexRegion, match=re.escape(f"{v!r} has 2 edges inside")):
+        with pytest.raises(NonUniqueInwardEdge, match=re.escape(f"{v!r} has 2 edges into the region")):
             tree_action_hex(g, GeodesicTable(g), cut)
 
 

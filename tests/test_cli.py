@@ -458,6 +458,13 @@ class TestExitCodes:
             captured = capsys.readouterr()
             assert captured.out == "" and "DuplicateEdge" in captured.err
 
+    def test_negative_restarts_is_an_invariant_violation(self, tmp_path, capsys):
+        graph, boundary = _tree_boundary_files(tmp_path)[:2]
+        assert main(["solve-eom", graph, boundary, "--restarts", "-1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "invariant violation: BadParams: restarts must be >= 0, got -1\n"
+
     def test_oversized_tree_is_refused(self, capsys):
         assert main(["gen", "tree", "--depth", "60"]) == 3
         assert "TooLarge" in capsys.readouterr().err

@@ -2,7 +2,6 @@ import pytest
 
 from graphgrav import (
     GeodesicTable,
-    Matching,
     build_graph,
     constant_setting,
     edge_key,
@@ -28,6 +27,7 @@ from graphgrav import (
 from graphgrav.errors import (
     BadParams,
     NonpositiveLength,
+    NotAnEdge,
     TooLarge,
 )
 from graphgrav.graph import WeightedGraph
@@ -113,8 +113,10 @@ class TestMatchings:
     def test_k4(self):
         g = gen_complete(4)
         m = find_perfect_matching(g)
-        assert m is not None and m.is_perfect(g)
-        assert len(m.edges) == 2
+        assert isinstance(m, frozenset)
+        assert all(g.has_edge(u, v) for u, v in m)
+        assert {v for edge in m for v in edge} == set(g.vertices)
+        assert len(m) == 2
 
     def test_odd_graph(self):
         assert find_perfect_matching(gen_complete(5)) is None
@@ -125,7 +127,7 @@ class TestMatchings:
             [("0", "1", 1.0), ("1", "2", 1.0), ("2", "3", 1.0)],
         )
         m = find_perfect_matching(g)
-        assert m.edges == frozenset({("0", "1"), ("2", "3")})
+        assert m == frozenset({("0", "1"), ("2", "3")})
 
     def test_no_matching_on_star(self):
         assert find_perfect_matching(gen_tree(3, 1)) is None  # 5 vertices
@@ -161,20 +163,25 @@ class TestMatchings:
             find_perfect_matching(gen_cycle(26))
 
     def test_overlapping_edges_rejected(self):
-        with pytest.raises(BadParams):
-            Matching(edges=frozenset({("0", "1"), ("1", "2")}))
+        with pytest.raises(BadParams, match="matching edges share a vertex"):
+            matching_setting(gen_complete(4), frozenset({("0", "1"), ("1", "2"), ("2", "3")}), 1e-4)
+
+    def test_non_edges_rejected(self):
+        # disjoint pairs that cover C4 but are its diagonals, not its edges
+        with pytest.raises(NotAnEdge, match="is not an edge"):
+            matching_setting(gen_cycle(4), frozenset({("0", "2"), ("1", "3")}), 1e-4)
 
     def test_matching_setting(self):
         g = gen_complete(4)
         m = find_perfect_matching(g)
         s = matching_setting(g, m, 1e-4)
         for key, val in s.lengths.items():
-            assert val == (1e-4 if key in m.edges else 1.0)
+            assert val == (1e-4 if key in m else 1.0)
 
     def test_matching_setting_requires_perfect(self):
         g = gen_complete(4)
         with pytest.raises(BadParams, match="matching does not cover every vertex"):
-            matching_setting(g, Matching(frozenset({("0", "1")})), 1e-4)
+            matching_setting(g, frozenset({("0", "1")}), 1e-4)
 
     def test_action_trend_toward_vertex_count(self):
         from graphgrav import action_plain

@@ -255,6 +255,72 @@ class TestNewton:
         assert worst > 1e-12
         assert iterations == 2
 
+    @pytest.mark.parametrize("m", [9, -30, 500])
+    @pytest.mark.parametrize("with_init", [True, False], ids=["init", "random-starts"])
+    def test_scaling_the_data_by_a_power_of_two_scales_the_result(self, m, with_init):
+        # the run reads the data at the boundary's power of two, so the
+        # result scales exactly and nothing else changes
+        g = gen_tree(2, 3)
+        interior = interior_edges(g)
+        rng = random.Random(4)
+        boundary = {key: math.exp(rng.uniform(-0.5, 0.5)) for key in g.edges if key not in interior}
+        init = {key: math.exp(rng.uniform(-0.5, 0.5)) for key in interior}
+
+        def solve(e):
+            start = Setting({key: math.ldexp(ell, e) for key, ell in init.items()}) if with_init else None
+            bnd = Setting({key: math.ldexp(ell, e) for key, ell in boundary.items()})
+            return newton_solve_teom(g, bnd, start, restarts=2, seed=3)
+
+        base, scaled = solve(0), solve(m)
+        assert base.converged
+        assert (scaled.iterations, scaled.converged, scaled.restarts_used) == (
+            base.iterations, base.converged, base.restarts_used)
+        assert {key: math.ldexp(ell, -m) for key, ell in scaled.setting.lengths.items()} == base.setting.lengths
+        assert math.ldexp(scaled.objective, -m) == base.objective
+
+    @pytest.mark.parametrize("scale", [900.0, 5e3, 1e-7])
+    def test_random_starts_follow_the_boundary_scale(self, scale):
+        # the start draw and the box are read at the boundary's power of
+        # two, so a boundary outside the box is no obstacle
+        g = gen_tree(2, 3)
+        interior = interior_edges(g)
+        boundary = Setting({key: scale for key in g.edges if key not in interior})
+        res = newton_solve_teom(g, boundary)
+        assert res.converged
+        assert all(ell == pytest.approx(scale, rel=1e-9) for ell in res.setting.lengths.values())
+
+    def test_negative_restarts_rejected(self):
+        g = gen_tree(2, 2)
+        boundary, _ = leaf_boundary(g)
+        with pytest.raises(BadParams, match="restarts must be >= 0, got -1"):
+            newton_solve_teom(g, boundary, restarts=-1)
+
+    def test_restarts_used_is_the_start_kept(self, monkeypatch):
+        # criterion 14's no-go data: no start converges, and the least
+        # residual is start 0's, not the last start's
+        g = gen_tree(2, 3)
+        depth = tree_depths(g)
+        boundary = Setting({
+            key: 1.0 if max(depth[key[0]], depth[key[1]]) == 3 else 1.5
+            for key in g.lengths() if max(depth[key[0]], depth[key[1]]) >= 2
+        })
+        runs = []
+        newton_run = graphgrav.search._newton_run
+
+        def recording(*args):
+            out = newton_run(*args)
+            runs.append(out)
+            return out
+
+        monkeypatch.setattr(graphgrav.search, "_newton_run", recording)
+        res = newton_solve_teom(g, boundary, restarts=3, seed=1)
+        assert not res.converged and len(runs) == 4
+        worst = [w for _, w, _ in runs]
+        kept = worst.index(min(worst))
+        assert kept != 3
+        assert res.restarts_used == kept
+        assert (res.objective, res.iterations) == (worst[kept], runs[kept][2])
+
     @pytest.mark.parametrize("start", [1e-7, 2e3])
     def test_start_outside_box_rejected(self, start):
         g = gen_tree(2, 3)
@@ -345,6 +411,22 @@ class TestExtremize:
         mean = math.exp(math.fsum(math.log(ell) for ell in lengths.values()) / len(lengths))
         g = gen_complete(3).with_lengths({key: ell / mean for key, ell in lengths.items()})
         assert res.objective == pytest.approx(action_plain(g, GeodesicTable(g)).total, abs=1e-9)
+
+    @pytest.mark.parametrize("m", [9, -30, 500])
+    def test_scaling_the_fixed_data_by_a_power_of_two_scales_the_result(self, m):
+        # the box and the starts are read at the fixed data's power of two
+        g = gen_cycle(4)
+        fixed = {("0", "1"): 1.0, ("2", "3"): 1.0}
+
+        def search(e):
+            data = Setting({key: math.ldexp(ell, e) for key, ell in fixed.items()})
+            return extremize_action(g, data, "max", restarts=2, seed=1)
+
+        base, scaled = search(0), search(m)
+        assert (scaled.iterations, scaled.converged, scaled.restarts_used, scaled.at_box_boundary) == (
+            base.iterations, base.converged, base.restarts_used, base.at_box_boundary)
+        assert {key: math.ldexp(ell, -m) for key, ell in scaled.setting.lengths.items()} == base.setting.lengths
+        assert scaled.objective == base.objective
 
     def test_no_free_edges(self):
         g = gen_complete(3)
