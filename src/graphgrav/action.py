@@ -44,14 +44,14 @@ def _closed_form_parts(g, geo, region):
     NonUniqueInwardEdge if i has none or more than one."""
     verts = region.vertices
     boundary = []
-    for i in sorted(region.boundary_vertices, key=repr):
+    for i in sorted(region.boundary_vertices):
         inward = [j for j in g.neighbors(i) if j in verts]
         if len(inward) != 1:
             raise NonUniqueInwardEdge(f"boundary vertex {i!r} has {len(inward)} edges into the region")
         boundary.append((inward[0], geo.walk(i)))
     per_edge = {(u, v): kappa_tree_closed(g, geo, u, v) for u, v in sigma_edges(g, region)}
     interior = 0.0
-    for i in sorted(region.interior, key=repr):
+    for i in sorted(region.interior):
         c, d, _ = geo.walk(i)
         interior += 2.0 - c * c / d
     return per_edge, interior, boundary

@@ -52,12 +52,12 @@ EXIT_INVARIANT = 3
 
 
 def _edge_list(values, field):
-    """The ``{"u", "v", field}`` rows of an edge-key -> number map, in `g.edges` (repr) order."""
-    return [{"u": str(u), "v": str(v), field: values[u, v]} for u, v in sorted(values, key=repr)]
+    """The ``{"u", "v", field}`` rows of an edge-key -> number map, in `g.edges` (string) order."""
+    return [{"u": u, "v": v, field: values[u, v]} for u, v in sorted(values)]
 
 
 def _graph_to_json(g):
-    return {"vertices": [str(v) for v in g.vertices], "edges": _edge_list(g.lengths(), "len")}
+    return {"vertices": list(g.vertices), "edges": _edge_list(g.lengths(), "len")}
 
 
 def _graph_from_json(doc):
@@ -154,7 +154,7 @@ def cmd_gen(args, inp):
     if setting is not None:
         doc["setting"] = _setting_to_json(setting)
     if region is not None:
-        doc["region"] = {"sigma": sorted(str(v) for v in region.vertices)}
+        doc["region"] = {"sigma": sorted(region.vertices)}
     _emit(doc, args.out)
     return EXIT_OK
 
@@ -249,7 +249,7 @@ def cmd_bounds(args, inp):
     for v in g.vertices:
         ratio, ok = ratio_bounds(g, geo, v)
         ratios_ok &= ok
-        ratios.append({"vertex": str(v), "ratio": ratio, "degree": g.degree(v), "ok": ok})
+        ratios.append({"vertex": v, "ratio": ratio, "degree": g.degree(v), "ok": ok})
     doc = {
         "action": rep.total,
         "bound_upper": rep.bound_upper,
@@ -344,7 +344,8 @@ def build_parser():
     p.add_argument("--objective", choices=["min", "max"], required=True)
     p.add_argument("--fixed")
     p.add_argument("--restarts", type=int, default=20,
-                   help="Nelder-Mead starts: max(1, RESTARTS) run; restarts_used is that count")
+                   help="Nelder-Mead starts (RESTARTS >= 1), where solve-eom counts starts after "
+                   "the first; restarts_used is the 0-based index of the start kept")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out")
     p.set_defaults(func=cmd_search)

@@ -179,7 +179,7 @@ def nogo_indicator(g: WeightedGraph, region: Region, setting: Setting) -> float:
     _require_tree(g)
     _require_edges(g, setting.lengths)
     sigma = region.vertices
-    boundary = sorted(region.boundary_vertices, key=repr)
+    boundary = sorted(region.boundary_vertices)
     lengths, _ = _unit_scaled(setting.lengths)
     ratios = _vertex_ratios(g, boundary, {key: k for k, key in enumerate(lengths)})
     rho, _ = ratios(np.array(list(lengths.values()), dtype=float))

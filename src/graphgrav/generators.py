@@ -85,7 +85,7 @@ def find_perfect_matching(g: WeightedGraph):
             return []
         if unmatched in dead:
             return None
-        u = min(unmatched, key=repr)
+        u = min(unmatched)
         for v in g.neighbors(u):
             if v in unmatched:
                 rest = extend(unmatched - {u, v})

@@ -1,9 +1,9 @@
 """Weighted graphs, geodesic distances and their vertex sums, and regions.
 
-Vertices are opaque hashable ids (strings in all JSON-facing paths).  Edges are
-undirected and stored under an order-normalized key.  All structures are
-treated as immutable after construction; anything that changes lengths goes
-through :meth:`WeightedGraph.with_lengths` and gets a fresh geodesic table.
+Vertex ids are strings, ordered as strings: an undirected edge is keyed by its
+smaller id first, and edge and neighbour lists are sorted.  Structures are
+immutable after construction; anything that changes lengths goes through
+:meth:`WeightedGraph.with_lengths` and gets a fresh geodesic table.
 """
 
 from __future__ import annotations
@@ -27,12 +27,8 @@ from .errors import (
 
 def edge_key(u, v):
     """Order-normalized key for the undirected edge between u and v: the
-    smaller id first, or the smaller repr where the two do not compare."""
-    try:
-        first = u < v or not v < u and repr(u) <= repr(v)
-    except TypeError:  # mixed types
-        first = repr(u) <= repr(v)
-    return (u, v) if first else (v, u)
+    smaller id first."""
+    return (u, v) if u <= v else (v, u)
 
 
 def _check_length(key, ell):
@@ -69,7 +65,7 @@ class WeightedGraph:
 
     @property
     def edges(self):
-        return tuple(sorted(self._lengths, key=repr))
+        return tuple(sorted(self._lengths))
 
     @property
     def num_edges(self):
@@ -120,12 +116,16 @@ def build_graph(vertex_ids, weighted_edges):
     """Validate and build a WeightedGraph.
 
     ``weighted_edges`` is an iterable of (u, v, length) triples.  Raises
-    BadParams on no vertices, else SelfLoop, UnknownVertex,
-    NonpositiveLength, DuplicateEdge, or Disconnected.
+    BadParams on no vertices or a vertex id that is not a string, else
+    SelfLoop, UnknownVertex, NonpositiveLength, DuplicateEdge or Disconnected.
     """
-    vertices = list(dict.fromkeys(vertex_ids))
+    vertices = list(vertex_ids)
     if not vertices:
         raise BadParams("graph needs at least one vertex")
+    for v in vertices:  # before any hashing, so an unhashable id is refused alike
+        if not isinstance(v, str):
+            raise BadParams(f"vertex id {v!r} is not a string")
+    vertices = list(dict.fromkeys(vertices))
     vset = set(vertices)
     lengths = {}
     adj = {v: [] for v in vertices}
@@ -142,7 +142,7 @@ def build_graph(vertex_ids, weighted_edges):
         lengths[key] = ell
         adj[u].append(v)
         adj[v].append(u)
-    adj = {v: tuple(sorted(nbrs, key=repr)) for v, nbrs in adj.items()}
+    adj = {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
     if not _connected(adj, vset):
         raise Disconnected("graph is not connected")
     return WeightedGraph(vertices, adj, lengths)

@@ -149,8 +149,9 @@ def extremize_action(
     seed: int = 42,
 ) -> SearchResult:
     """Nelder-Mead over the log-lengths of the free edges, restarted from
-    random interior points of the box [1e-6, 1e3].  max(1, ``restarts``)
-    starts are run, the best kept, and ``restarts_used`` reports that count.
+    random interior points of the box [1e-6, 1e3].  ``restarts`` >= 1 starts
+    run and the first with the least value is kept: ``restarts_used`` is its
+    0-based index, ``converged`` False if its run spent the evaluation cap.
 
     The action is invariant under a common rescaling of all lengths, so the
     box and the starts are read at the fixed lengths' power of two, as in
@@ -160,6 +161,8 @@ def extremize_action(
     """
     if objective not in ("max", "min"):
         raise BadParams(f"objective must be 'max' or 'min', got {objective}")
+    if restarts < 1:
+        raise BadParams(f"restarts must be >= 1, got {restarts}")
     from scipy import optimize
     fixed_map, k = _unit_scaled(fixed.lengths if fixed is not None else {})
     free = [key for key in g.edges if key not in fixed_map]
@@ -180,21 +183,17 @@ def extremize_action(
         return sign * action_plain(g2, geo).total
 
     rng = np.random.default_rng(seed)
-    best = None
-    best_x = None
-    evals = 0
-    for _ in range(max(1, restarts)):
+    runs = []
+    for _ in range(restarts):
         x0 = rng.uniform(math.log(0.2), math.log(5.0), size=len(free))
-        out = optimize.minimize(
+        runs.append(optimize.minimize(
             value,
             x0,
             method="Nelder-Mead",
             options={"xatol": 1e-8, "fatol": 1e-12, "maxfev": 10_000},
-        )
-        evals += out.nfev
-        if best is None or out.fun < best:
-            best = out.fun
-            best_x = out.x
+        ))
+    start = min(range(restarts), key=lambda k: runs[k].fun)
+    best_x = runs[start].x
     at_edge = bool(
         np.any(best_x < LOG_LENGTH_LO + 1e-6) or np.any(best_x > LOG_LENGTH_HI - 1e-6)
     )
@@ -208,8 +207,8 @@ def extremize_action(
     return SearchResult(
         setting=Setting({key: math.ldexp(ell, -k) for key, ell in lengths.items()}),
         objective=achieved,
-        iterations=evals,
-        converged=bool(best is not None and best < 1e8),
-        restarts_used=max(1, restarts),
+        iterations=sum(out.nfev for out in runs),
+        converged=bool(runs[start].success),
+        restarts_used=start,
         at_box_boundary=at_edge,
     )

@@ -48,7 +48,7 @@ class Distribution:
 
     @property
     def support(self):
-        return tuple(sorted((v for v, m in self.mass.items() if m > 0), key=repr))
+        return tuple(sorted(v for v, m in self.mass.items() if m > 0))
 
     def __call__(self, v):
         return self.mass.get(v, 0.0)

@@ -465,6 +465,14 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "invariant violation: BadParams: restarts must be >= 0, got -1\n"
 
+    @pytest.mark.parametrize("restarts", ["0", "-1"])
+    def test_search_with_no_start_is_an_invariant_violation(self, tmp_path, capsys, restarts):
+        graph = write_triangle(tmp_path)
+        assert main(["search", graph, "--objective", "max", "--restarts", restarts]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"invariant violation: BadParams: restarts must be >= 1, got {restarts}\n"
+
     def test_oversized_tree_is_refused(self, capsys):
         assert main(["gen", "tree", "--depth", "60"]) == 3
         assert "TooLarge" in capsys.readouterr().err
@@ -478,8 +486,8 @@ class TestExitCodes:
 
 def _prefix_tree():
     # "a" is a prefix of "a b", whose next character sorts below the quote
-    # that ends "a" in a repr: the repr of the edge keys puts ("a b", ...)
-    # first, and plain string order puts ("a", ...) first
+    # that ends "a" in a repr: plain string order puts ("a", ...) first, and
+    # an order by the repr of the edge keys would put ("a b", ...) first
     edges = [("a", "z"), ("a b", "z"), ("a", "p"), ("a", "q"), ("a b", "r"), ("a b", "s"), ("t", "z")]
     return build_graph(["a", "a b", "p", "q", "r", "s", "t", "z"], [(u, v, 1.0) for u, v in edges])
 
@@ -491,7 +499,8 @@ def _pairs(rows):
 def test_every_edge_list_is_in_graph_edge_order(tmp_path, capsys):
     g = _prefix_tree()
     interior = interior_edges(g)
-    assert interior == (("a b", "z"), ("a", "z")) and list(interior) != sorted(interior)
+    assert interior == (("a", "z"), ("a b", "z")) and list(interior) == sorted(interior)
+    assert sorted(interior, key=repr) != sorted(interior)
     assert _pairs(_graph_to_json(g)["edges"]) == list(g.edges)
     assert _pairs(_setting_to_json(Setting(g.lengths()))["lengths"]) == list(g.edges)
     graph, setting, boundary = (tmp_path / name for name in ("g.json", "s.json", "b.json"))

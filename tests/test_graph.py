@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import re
 import weakref
 
 import pytest
@@ -22,6 +23,7 @@ from graphgrav import (
     neighbor_distribution,
     sigma_edges,
 )
+from graphgrav.cli import _edge_list
 from graphgrav.errors import (
     BadParams,
     Disconnected,
@@ -88,6 +90,12 @@ class TestBuildGraph:
             with pytest.raises(NonpositiveLength, match=r"edge \('a', 'b'\) must be positive and finite"):
                 make()
 
+    @pytest.mark.parametrize("ids", [[0, 1], ["0", 1], [("0",), "1"], ["0", ["1"]]])
+    def test_rejects_an_id_that_is_not_a_string(self, ids):
+        bad = next(v for v in ids if not isinstance(v, str))
+        with pytest.raises(BadParams, match=re.escape(f"vertex id {bad!r} is not a string")):
+            build_graph(ids, [(*ids, 1.0)])
+
     def test_rejects_no_vertices(self):
         with pytest.raises(BadParams, match="graph needs at least one vertex"):
             build_graph([], [])
@@ -114,13 +122,10 @@ class TestBuildGraph:
 
 
 class TestEdgeKey:
-    ids = st.one_of(
-        st.integers(-2, 2), st.sampled_from(["-1", "0", "1", "a"]), st.frozensets(st.integers(0, 2))
-    )
+    ids = st.one_of(st.sampled_from(["-1", "0", "1", "10", "9", "a", "a b"]), st.text(max_size=3))
 
     @given(ids, ids)
     def test_either_order_gives_one_key(self, u, v):
-        # mixed types do not compare, and sets only partially
         assume(u != v)
         assert edge_key(u, v) == edge_key(v, u) in ((u, v), (v, u))
         g = build_graph([u, v], [(v, u, 2.0)])
@@ -130,6 +135,33 @@ class TestEdgeKey:
     @given(st.lists(st.text(max_size=3), min_size=2, max_size=2, unique=True))
     def test_smaller_string_first(self, pair):
         assert edge_key(*pair) == tuple(sorted(pair))
+
+
+@st.composite
+def string_id_graphs(draw):
+    """A tree or a cycle on up to 7 arbitrary string ids, with random lengths."""
+    ids = draw(st.lists(st.text(max_size=3), min_size=2, max_size=7, unique=True))
+    if len(ids) > 2 and draw(st.booleans()):
+        pairs = list(zip(ids, ids[1:] + ids[:1]))
+    else:  # each id after the first hangs from an earlier one
+        pairs = [(ids[draw(st.integers(0, k - 1))], ids[k]) for k in range(1, len(ids))]
+    lengths = st.floats(0.5, 2.0)
+    return build_graph(ids, [(u, v, draw(lengths)) for u, v in pairs])
+
+
+class TestStringOrder:
+    @given(string_id_graphs(), st.floats(0.1, 0.9))
+    @settings(max_examples=200, deadline=None)
+    def test_every_order_is_string_order(self, g, t):
+        assert g.edges == tuple(sorted(g.edges))
+        assert all(u < v for u, v in g.edges)
+        geo = GeodesicTable(g)
+        for v in g.vertices:
+            assert g.neighbors(v) == tuple(sorted(g.neighbors(v)))
+            support = neighbor_distribution(g, geo, v, t).support
+            assert support == tuple(sorted(support))
+        rows = _edge_list(dict(reversed(g.lengths().items())), "len")
+        assert [(row["u"], row["v"]) for row in rows] == list(g.edges)
 
 
 class TestGeodesics:

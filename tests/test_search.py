@@ -428,6 +428,55 @@ class TestExtremize:
         assert {key: math.ldexp(ell, -m) for key, ell in scaled.setting.lengths.items()} == base.setting.lengths
         assert scaled.objective == base.objective
 
+    def test_unknown_objective_rejected(self):
+        with pytest.raises(BadParams, match="objective must be 'max' or 'min', got mean"):
+            extremize_action(gen_complete(3), None, objective="mean")
+
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_restarts_below_one_rejected(self, restarts):
+        with pytest.raises(BadParams, match=f"restarts must be >= 1, got {restarts}"):
+            extremize_action(gen_complete(3), None, "max", restarts=restarts)
+
+    @staticmethod
+    def _record_runs(monkeypatch, maxfev=None):
+        """Record every Nelder-Mead result, with the evaluation cap replaced
+        by ``maxfev`` when given."""
+        from scipy import optimize
+
+        minimize = optimize.minimize
+        runs = []
+
+        def recording(*args, options, **kwargs):
+            if maxfev is not None:
+                options = {**options, "maxfev": maxfev}
+            runs.append(minimize(*args, options=options, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(optimize, "minimize", recording)
+        return runs
+
+    @pytest.mark.parametrize("g, objective, restarts, seed", [
+        (gen_complete(3), "min", 4, 3), (gen_cycle(4), "max", 3, 0),
+    ], ids=["K3-min", "C4-max"])
+    def test_restarts_used_is_the_start_kept(self, g, objective, restarts, seed, monkeypatch):
+        runs = self._record_runs(monkeypatch)
+        res = extremize_action(g, None, objective, restarts=restarts, seed=seed)
+        values = [out.fun for out in runs]
+        assert len(runs) == restarts
+        assert res.restarts_used == values.index(min(values))
+        assert res.iterations == sum(out.nfev for out in runs)
+        sign = -1.0 if objective == "max" else 1.0
+        assert res.objective == pytest.approx(sign * min(values), rel=1e-8)
+
+    @pytest.mark.parametrize("maxfev", [20, None])
+    def test_converged_is_the_kept_run_success(self, maxfev, monkeypatch):
+        # every start lies inside the box, so no run ends worse than its start;
+        # only a run that spends its evaluation cap reports a failure
+        runs = self._record_runs(monkeypatch, maxfev)
+        res = extremize_action(gen_complete(3), None, "min", restarts=2, seed=0)
+        assert res.converged is (maxfev is None)
+        assert res.converged is bool(runs[res.restarts_used].success)
+
     def test_no_free_edges(self):
         g = gen_complete(3)
         fixed = Setting({key: 1.0 for key in g.lengths()})
