@@ -143,10 +143,18 @@ def _unit_scaled(lengths):
     return {key: math.ldexp(ell, k) for key, ell in lengths.items()}, k
 
 
+def _require_tol(tol):
+    """Raise BadParams unless the tolerance is positive and finite (NaN is neither)."""
+    if not 0.0 < tol < math.inf:
+        raise BadParams(f"tol must be positive and finite, got {tol}")
+
+
 def verify_solution(g: WeightedGraph, setting: Setting, tol: float = 1e-9) -> EomReport:
     """Residual of every interior edge.  A residual is a length: a solution
-    keeps them all below tol times the power of two nearest the lengths'
-    geometric mean, so it stays a solution under ``scale_setting``."""
+    keeps them all below tol (positive and finite) times the power of two
+    nearest the lengths' geometric mean, so it stays a solution under
+    ``scale_setting``."""
+    _require_tol(tol)
     _require_tree(g)
     _require_edges(g, setting.lengths)
     interior = interior_edges(g)

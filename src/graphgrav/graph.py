@@ -38,6 +38,14 @@ def _check_length(key, ell):
         raise NonpositiveLength(f"length for edge {key!r} must be positive and finite, got {ell}")
 
 
+def _require_ids(ids):
+    """Raise BadParams unless every vertex id is a string; called before any
+    hashing, so an unhashable id is refused alike."""
+    for v in ids:
+        if not isinstance(v, str):
+            raise BadParams(f"vertex id {v!r} is not a string")
+
+
 def _require_edges(g, keys):
     """Raise NotAnEdge unless every key in ``keys`` is an edge's `edge_key`."""
     for key in keys:
@@ -122,14 +130,13 @@ def build_graph(vertex_ids, weighted_edges):
     vertices = list(vertex_ids)
     if not vertices:
         raise BadParams("graph needs at least one vertex")
-    for v in vertices:  # before any hashing, so an unhashable id is refused alike
-        if not isinstance(v, str):
-            raise BadParams(f"vertex id {v!r} is not a string")
+    _require_ids(vertices)
     vertices = list(dict.fromkeys(vertices))
     vset = set(vertices)
     lengths = {}
     adj = {v: [] for v in vertices}
     for u, v, ell in weighted_edges:
+        _require_ids((u, v))
         if u == v:
             raise SelfLoop(f"self-loop at {u!r}")
         if u not in vset or v not in vset:
@@ -267,8 +274,10 @@ class Region:
 def extract_region(g: WeightedGraph, sigma_vertices) -> Region:
     """Region over ``sigma_vertices``: boundary vertices are those with at
     least one neighbor outside, boundary edges those between two boundary
-    vertices or leaving the region."""
+    vertices or leaving the region.  An id that is not a string raises
+    BadParams, an unknown one UnknownVertex."""
     ordered = list(sigma_vertices)
+    _require_ids(ordered)
     sigma = set(ordered)
     if not sigma:
         raise EmptyRegion("region must contain at least one vertex")

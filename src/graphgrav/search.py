@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import action_plain
-from .dynamics import Setting, _require_tree, _tree_system, _unit_scaled, interior_edges
+from .dynamics import Setting, _require_tol, _require_tree, _tree_system, _unit_scaled, interior_edges
 from .errors import BadParams, SingularJacobian
 from .graph import GeodesicTable, WeightedGraph, _require_edges
 
@@ -26,12 +26,14 @@ MAX_LOG_STEP = 1.0  # trust region in log-length space
 
 @dataclass(frozen=True)
 class SearchResult:
+    """``at_box_boundary``: no move of the search takes the reported point off the box."""
+
     setting: Setting
     objective: float
     iterations: int
     converged: bool
     restarts_used: int
-    at_box_boundary: bool = False
+    at_box_boundary: bool
 
 
 def newton_solve_teom(
@@ -48,7 +50,7 @@ def newton_solve_teom(
     at least every non-interior edge; fixing interior edges as well is
     allowed and leaves an overdetermined system, solved in the
     least-squares sense.  Up to 1 + ``restarts`` starts are run until one
-    passes ``verify_solution`` at tol, else the first with the least
+    passes ``verify_solution`` at a finite tol > 0, else the first with the least
     residual is kept; ``restarts_used`` is its 0-based index and the
     objective its final maximum absolute residual.  Start 0 is ``init`` when
     given; every other start puts each free log-length at the mean log of
@@ -60,8 +62,9 @@ def newton_solve_teom(
     The truncated equations have spurious residual valleys in which a
     cluster of sibling edges shrinks to zero together; their residuals fall
     below any usable tolerance only outside this box, so the box keeps a
-    converged run meaningful.
+    converged run meaningful and flags (``at_box_boundary``) a run kept on it.
     """
+    _require_tol(tol)
     if restarts < 0:
         raise BadParams(f"restarts must be >= 0, got {restarts}")
     _require_tree(g)
@@ -92,16 +95,24 @@ def newton_solve_teom(
         lengths = {**fixed, **dict(zip(free, np.exp(x).tolist()))}
         converged = math.ldexp(worst, _unit_scaled(lengths)[1]) < tol
         if best is None or converged or worst < best[1]:
-            best = (lengths, worst, iterations, converged, start)
+            best = (lengths, worst, iterations, converged, start, _on_box(x, free_scale=False))
         if converged:
             break
-    lengths, worst, iterations, converged, start = best
+    lengths, worst, iterations, converged, start, on_box = best
     lengths = {**boundary.lengths, **{key: math.ldexp(lengths[key], -k) for key in free}}
-    return SearchResult(Setting(lengths), math.ldexp(worst, -k), iterations, converged, start)
+    return SearchResult(Setting(lengths), math.ldexp(worst, -k), iterations, converged, start, on_box)
 
 
 def _outside_box(x):
     return x.size and (np.min(x) < LOG_LENGTH_LO or np.max(x) > LOG_LENGTH_HI)
+
+
+def _on_box(x, free_scale):
+    """Whether no move takes the log-lengths x off the box, to 1e-6: with a free
+    common scale a length sits at each end, with fixed data one end suffices."""
+    low = np.min(x, initial=LOG_LENGTH_HI) < LOG_LENGTH_LO + 1e-6
+    high = np.max(x, initial=LOG_LENGTH_LO) > LOG_LENGTH_HI - 1e-6
+    return bool(low and high if free_scale else low or high)
 
 
 def _newton_run(residual, jacobian, x, tol):
@@ -155,60 +166,51 @@ def extremize_action(
 
     The action is invariant under a common rescaling of all lengths, so the
     box and the starts are read at the fixed lengths' power of two, as in
-    ``newton_solve_teom``; when every edge is free the best setting is
-    rescaled to the geometric mean closest to 1 that keeps every length
-    inside the box.
+    ``newton_solve_teom``; when every edge is free, each x is evaluated,
+    reported and flagged at its shift to the geometric mean closest to 1
+    inside the box, so the box bounds only the length ratio, at 1e9.
     """
     if objective not in ("max", "min"):
         raise BadParams(f"objective must be 'max' or 'min', got {objective}")
     if restarts < 1:
         raise BadParams(f"restarts must be >= 1, got {restarts}")
-    from scipy import optimize
     fixed_map, k = _unit_scaled(fixed.lengths if fixed is not None else {})
+    _require_edges(g, fixed_map)
+    from scipy import optimize
     free = [key for key in g.edges if key not in fixed_map]
     if not free:
         raise BadParams("no free edges to vary")
     sign = -1.0 if objective == "max" else 1.0
 
+    def point(x):
+        if fixed_map:
+            return x
+        t = x.tolist()  # shift to the geometric mean nearest 1 that keeps x in the box
+        return x + min(max(-sum(t) / len(t), LOG_LENGTH_LO - min(t)), LOG_LENGTH_HI - max(t))
+
     def lengths_at(x):
-        lengths = dict(fixed_map)
-        lengths.update(zip(free, map(math.exp, x.tolist())))
-        return lengths
+        return {**fixed_map, **dict(zip(free, map(math.exp, x.tolist())))}
 
     def value(x):
+        x = point(x)
         if _outside_box(x):
             return 1e9
         g2 = g.with_lengths(lengths_at(x))
-        geo = GeodesicTable(g2)
-        return sign * action_plain(g2, geo).total
+        return sign * action_plain(g2, GeodesicTable(g2)).total
 
     rng = np.random.default_rng(seed)
     runs = []
     for _ in range(restarts):
         x0 = rng.uniform(math.log(0.2), math.log(5.0), size=len(free))
-        runs.append(optimize.minimize(
-            value,
-            x0,
-            method="Nelder-Mead",
-            options={"xatol": 1e-8, "fatol": 1e-12, "maxfev": 10_000},
-        ))
+        options = {"xatol": 1e-8, "fatol": 1e-12, "maxfev": 10_000}
+        runs.append(optimize.minimize(value, x0, method="Nelder-Mead", options=options))
     start = min(range(restarts), key=lambda k: runs[k].fun)
-    best_x = runs[start].x
-    at_edge = bool(
-        np.any(best_x < LOG_LENGTH_LO + 1e-6) or np.any(best_x > LOG_LENGTH_HI - 1e-6)
-    )
-    # gauge-fix: common rescaling leaves the action unchanged, and the shift
-    # nearest to geometric mean 1 that keeps every length in the box is taken
-    if not fixed_map:
-        best_x = best_x + np.clip(-np.mean(best_x), LOG_LENGTH_LO - best_x.min(), LOG_LENGTH_HI - best_x.max())
-    lengths = lengths_at(best_x)
-    g2 = g.with_lengths(lengths)
-    achieved = action_plain(g2, GeodesicTable(g2)).total
+    best_x = point(runs[start].x)
     return SearchResult(
-        setting=Setting({key: math.ldexp(ell, -k) for key, ell in lengths.items()}),
-        objective=achieved,
+        setting=Setting({key: math.ldexp(ell, -k) for key, ell in lengths_at(best_x).items()}),
+        objective=float(sign * runs[start].fun),
         iterations=sum(out.nfev for out in runs),
         converged=bool(runs[start].success),
         restarts_used=start,
-        at_box_boundary=at_edge,
+        at_box_boundary=_on_box(best_x, free_scale=not fixed_map),
     )

@@ -14,6 +14,7 @@ from graphgrav import (
     action_ghy,
     action_region_plain,
     build_graph,
+    constant_setting,
     edge_key,
     extract_region,
     gen_complete,
@@ -407,6 +408,18 @@ class TestExitCodes:
         path.write_text(json.dumps({"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b"}]}))
         assert main(["action", str(path)]) == 2
         assert capsys.readouterr().err.startswith("input error")
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_tol_outside_its_domain_is_an_invariant_violation(self, tmp_path, capsys, tol):
+        # verify-eom on an exact solution, solve-eom on data it solves
+        graph, boundary = _tree_boundary_files(tmp_path)[:2]
+        setting = tmp_path / "setting.json"
+        setting.write_text(json.dumps(_setting_to_json(constant_setting(gen_tree(2, 3), 1.0))))
+        for argv in (["verify-eom", graph, str(setting)], ["solve-eom", graph, boundary]):
+            assert main([*argv, "--tol", tol]) == 3
+            out, err = capsys.readouterr()
+            assert out == "" and "BadParams: tol must be positive and finite" in err
+        assert main(["verify-eom", graph, str(setting)]) == 0
 
     def test_init_missing_a_free_edge_is_an_invariant_violation(self, tmp_path, capsys):
         graph, boundary = _tree_boundary_files(tmp_path)[:2]

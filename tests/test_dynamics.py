@@ -106,6 +106,14 @@ class TestResiduals:
         with pytest.raises(NotATree):
             verify_solution(g, constant_setting(g, 1.0))
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_tol_outside_its_domain_rejected(self, tol):
+        # an exact solution is no test of a tolerance that nothing passes,
+        # or that everything does
+        g = gen_tree(2, 3)
+        with pytest.raises(BadParams, match=f"tol must be positive and finite, got {tol}"):
+            verify_solution(g, constant_setting(g, 1.0), tol=tol)
+
     def test_non_edge_rejected(self):
         # a length on a non-edge would move the unit scale of the tolerance
         # and pass this non-solution

@@ -73,6 +73,7 @@ class TestBuildGraph:
             ([("a", "a", 1.0)], SelfLoop),
             ([("a", "b", 1.0), ("b", "a", 2.0)], DuplicateEdge),
             ([("a", "z", 1.0)], UnknownVertex),
+            ([(["a"], "b", 1.0)], BadParams),  # checked before it is hashed
         ],
     )
     def test_rejects(self, edges, err):
@@ -403,6 +404,12 @@ class TestRegions:
     def test_unknown_vertex(self, line3):
         with pytest.raises(UnknownVertex, match="'zz'"):
             extract_region(line3, ["a", "zz"])
+
+    @pytest.mark.parametrize("bad", [["a"], 0])
+    def test_id_that_is_not_a_string(self, line3, bad):
+        # checked before the region's vertex set is hashed
+        with pytest.raises(BadParams, match=re.escape(f"vertex id {bad!r} is not a string")):
+            extract_region(line3, [bad, "b"])
 
     def test_disconnected_region(self, line3):
         with pytest.raises(DisconnectedRegion):

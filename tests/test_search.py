@@ -134,6 +134,22 @@ def test_unknown_objective_is_refused_before_scipy_loads():
     assert out.stdout.strip() == "objective must be 'max' or 'min', got median False"
 
 
+def test_non_edge_in_fixed_is_refused_before_scipy_loads():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(graphgrav.__file__)))
+    code = (
+        "import sys, graphgrav\n"
+        "fixed = graphgrav.Setting({('0', '2'): 1.0})\n"
+        "try:\n"
+        "    graphgrav.extremize_action(graphgrav.gen_cycle(4), fixed, 'max')\n"
+        "except graphgrav.errors.NotAnEdge as err:\n"
+        "    print(err, 'scipy.optimize' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "('0', '2') is not an edge False"
+
+
 class TestNewton:
     def test_constant_boundary_gives_constant(self):
         g = gen_tree(2, 3)
@@ -321,6 +337,30 @@ class TestNewton:
         assert res.restarts_used == kept
         assert (res.objective, res.iterations) == (worst[kept], runs[kept][2])
 
+    def test_run_kept_on_the_floor_is_flagged(self):
+        # starts at e^{+-0.3} fall into the spurious valley of the docstring
+        # and end with a free length at the floor of the box; converged runs
+        # from the same data end inside it
+        g = gen_tree(2, 5)
+        interior = interior_edges(g)
+        boundary = Setting({key: 1.0 for key in g.edges if key not in interior})
+        for s in range(3):
+            signs = np.random.default_rng(s).choice([-1.0, 1.0], size=len(interior))
+            init = Setting({key: math.exp(0.3 * sign) for key, sign in zip(interior, signs)})
+            res = newton_solve_teom(g, boundary, init, tol=1e-10)
+            low = min(math.log(res.setting[key]) for key in interior)
+            assert not res.converged and low < LOG_LENGTH_LO + 1e-6
+            assert res.at_box_boundary
+        res = newton_solve_teom(g, boundary, tol=1e-10)
+        assert res.converged and not res.at_box_boundary
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_tol_outside_its_domain_rejected(self, tol):
+        g = gen_tree(2, 2)
+        boundary, _ = leaf_boundary(g)
+        with pytest.raises(BadParams, match="tol must be positive and finite"):
+            newton_solve_teom(g, boundary, tol=tol)
+
     @pytest.mark.parametrize("start", [1e-7, 2e3])
     def test_start_outside_box_rejected(self, start):
         g = gen_tree(2, 3)
@@ -369,39 +409,69 @@ class TestExtremize:
         again = action_plain(g, GeodesicTable(g)).total
         assert again == pytest.approx(res.objective, abs=1e-8)
 
-    @pytest.mark.parametrize(
-        "g, seeds",
-        [(gen_complete(3), [0]), (gen_cycle(4), range(10))],
-        ids=["triangle", "square"],
-    )
-    def test_box_flag_reads_the_optimizer_point(self, g, seeds, monkeypatch):
-        # the flag is read at the Nelder-Mead point, before the gauge shift,
-        # which can move a length onto the box edge (the triangle's longest,
-        # seed 0) or off it
+    @pytest.mark.parametrize("g, fixed, seeds", [
+        (gen_complete(3), {}, range(3)),
+        (gen_cycle(4), {}, range(10)),
+        (gen_cycle(4), {("0", "1"): 1.0}, range(3)),
+    ], ids=["triangle", "square", "square-fixed"])
+    def test_box_flag_follows_the_rule_on_the_reported_point(self, g, fixed, seeds):
+        # the point is on the box when no move the search may make takes it
+        # off: with every edge free the common scale moves, so a length must
+        # sit at each end; with fixed data one end is enough
+        flags, one_end = set(), False
+        for seed in seeds:
+            res = extremize_action(g, Setting(fixed), "max", restarts=1, seed=seed)
+            x = [math.log(ell) for key, ell in res.setting.lengths.items() if key not in fixed]
+            low, high = min(x) < LOG_LENGTH_LO + 1e-6, max(x) > LOG_LENGTH_HI - 1e-6
+            assert res.at_box_boundary is ((low and high) if not fixed else (low or high))
+            flags.add(res.at_box_boundary)
+            one_end |= low != high
+        # some run has a length at one end only, where the two rules differ:
+        # on the triangle the longest edge reaches the top end, but a ratio
+        # below 1e9 leaves the scale free to move it off
+        assert one_end
+        assert flags == ({False} if g.num_edges == 3 else {True, False})
+
+    @pytest.mark.parametrize("g, objective, bound", [
+        (gen_complete(4), "min", lambda v: v <= 4.0 + 1e-6),
+        (gen_cycle(5), "max", lambda v: v >= 5.999),
+    ], ids=["K4-min", "C5-max"])
+    def test_degenerate_limits_are_reached_with_no_edge_fixed(self, g, objective, bound):
+        # the K4 perfect-matching limit 4 and the C5 maximum 6 lie where a
+        # length ratio grows without bound; a wall on the common scale, which
+        # the action cannot see, would stop the search short of them
+        for seed in range(3):
+            res = extremize_action(g, None, objective, restarts=2, seed=seed)
+            assert bound(res.objective), (seed, res.objective)
+
+    @pytest.mark.parametrize("fixed", [{}, {("0", "1"): 1.0}], ids=["free", "fixed"])
+    def test_objective_is_the_measured_action_of_the_reported_setting(self, fixed, monkeypatch):
+        # no evaluation after Nelder-Mead's last: the objective is the value
+        # it measured, at the very lengths it reports
+        calls = []
+        action = graphgrav.search.action_plain
+
+        def counting(*args):
+            calls.append(1)
+            return action(*args)
+
         from scipy import optimize
 
         minimize = optimize.minimize
-        points = []
+        seen = []  # evaluations made when each Nelder-Mead run returns
 
         def recording(*args, **kwargs):
             out = minimize(*args, **kwargs)
-            points.append(out.x)
+            seen.append(len(calls))
             return out
 
+        monkeypatch.setattr(graphgrav.search, "action_plain", counting)
         monkeypatch.setattr(optimize, "minimize", recording)
-        flags = set()
-        for seed in seeds:
-            points.clear()
-            res = extremize_action(g, None, "max", restarts=1, seed=seed)
-            (x,) = points
-            on_box = bool(np.any(x < LOG_LENGTH_LO + 1e-6) or np.any(x > LOG_LENGTH_HI - 1e-6))
-            assert res.at_box_boundary is on_box
-            flags.add(on_box)
-        if g.num_edges == 3:
-            assert flags == {False}
-            assert max(res.setting.lengths.values()) == pytest.approx(1e3)
-        else:
-            assert flags == {True, False}
+        res = extremize_action(gen_cycle(4), Setting(fixed), "max", restarts=2, seed=1)
+        assert len(seen) == 2 and len(calls) == seen[-1]
+        g = gen_cycle(4).with_lengths(res.setting.lengths)
+        assert type(res.objective) is float
+        assert res.objective == action(g, GeodesicTable(g)).total
 
     def test_gauge_shift_stays_in_box(self):
         # a shift to geometric mean 1 would stretch the longest edge to 5.6e3
