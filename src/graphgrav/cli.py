@@ -6,9 +6,9 @@ reproduce.  All input and output is JSON; runs are deterministic for a given
 failed), 2 input error, 3 invariant violation.
 
 Every input file is read in one load stage before the command runs; only a
-failure there (malformed JSON, an unreadable file, a missing key or a value
-of the wrong type) is an input error.  An internal error later on is not
-caught: it ends the run with a traceback.
+failure there (malformed JSON, an unreadable file, a missing key, a value of
+the wrong type, a tree-only gen setting for another family) is an input
+error.  An internal error later on is not caught: it ends with a traceback.
 """
 
 from __future__ import annotations
@@ -96,13 +96,17 @@ def _emit(doc, out_path):
 
 
 def _load_inputs(args):
-    """The load stage: read and parse every input file the command names.
+    """The load stage: read and parse every input file the command names,
+    after refusing a tree-only ``gen --setting`` for another family.
 
     Returns the graph as ``g``, with the lengths of ``--setting`` applied
     where the command takes them, and each setting file (setting, boundary,
     init, fixed) under its own name.  A region is read only by the action
     variants that use one.
     """
+    if args.command == "gen" and args.setting in ("half-half", "two-progression"):
+        if args.family != "tree":
+            raise ValueError(f"--setting {args.setting} applies to trees only")
     if args.command in ("gen", "reproduce"):
         return {}
     inp = {"g": _graph_from_json(_load_json(args.graph))}
@@ -122,9 +126,6 @@ def _load_inputs(args):
 def cmd_gen(args, inp):
     setting = None
     region = None
-    if args.setting in ("half-half", "two-progression") and args.family != "tree":
-        print(f"--setting {args.setting} applies to trees only", file=sys.stderr)
-        return EXIT_PARSE
     if args.family == "tree":
         g = gen_tree(args.q, args.depth)
         if args.setting == "half-half":

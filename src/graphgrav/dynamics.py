@@ -175,7 +175,7 @@ def scale_setting(setting: Setting, lam: float) -> Setting:
 
 def t1_next_ratios(r: float):
     """Inverse-length ratios admissible after r on a line solution."""
-    if not r > 1:
+    if not 1 < r < math.inf:
         raise BadParams(f"ratio must exceed 1, got {r}")
     return tuple(sorted({r, (r + 1.0) / (r - 1.0)}))
 
@@ -208,7 +208,7 @@ def geometric_half_half_stats(q: int, r: float):
     """
     if q < 1 or q % 2 == 0:
         raise BadParams(f"q must be odd and >= 1, got {q}")
-    if not r > 0:
+    if not 0 < r < math.inf:
         raise BadParams(f"progression ratio must be positive, got {r}")
     kappa = (3.0 - q) / (1.0 + q) - 2.0 * r / (1.0 + r * r)
     ratio = (q + 1.0) * (1.0 + r) ** 2 / (2.0 * (1.0 + r * r))

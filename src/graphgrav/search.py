@@ -2,7 +2,7 @@
 Nelder-Mead extremal-action search, whose scipy.optimize loads only when it runs.
 
 The tree system itself, residual and Jacobian, lives in ``dynamics``; Newton
-here only drives it, inside the log-length box [1e-6, 1e3].
+here only drives it.  Both searches project onto the length box [1e-6, 1e3].
 """
 
 from __future__ import annotations
@@ -26,7 +26,9 @@ MAX_LOG_STEP = 1.0  # trust region in log-length space
 
 @dataclass(frozen=True)
 class SearchResult:
-    """``at_box_boundary``: no move of the search takes the reported point off the box."""
+    """``objective``, ``iterations``: Newton's largest residual and iterations in
+    the start kept, or the action and evaluations over all Nelder-Mead starts.
+    ``at_box_boundary``: no move of the search takes the reported point off the box."""
 
     setting: Setting
     objective: float
@@ -67,6 +69,8 @@ def newton_solve_teom(
     _require_tol(tol)
     if restarts < 0:
         raise BadParams(f"restarts must be >= 0, got {restarts}")
+    if seed < 0:
+        raise BadParams(f"seed must be >= 0, got {seed}")
     _require_tree(g)
     interior = interior_edges(g)
     interior_set = set(interior)
@@ -103,8 +107,8 @@ def newton_solve_teom(
     return SearchResult(Setting(lengths), math.ldexp(worst, -k), iterations, converged, start, on_box)
 
 
-def _outside_box(x):
-    return x.size and (np.min(x) < LOG_LENGTH_LO or np.max(x) > LOG_LENGTH_HI)
+def _to_box(x):
+    return np.clip(x, LOG_LENGTH_LO, LOG_LENGTH_HI)
 
 
 def _on_box(x, free_scale):
@@ -117,8 +121,8 @@ def _on_box(x, free_scale):
 
 def _newton_run(residual, jacobian, x, tol):
     """One damped Newton descent; returns (x, max_abs_residual, iterations).
-    Every iterate stays inside the box; a step that leaves it is damped."""
-    if _outside_box(x):
+    Each damped trial is projected onto the box, so every iterate stays in it."""
+    if not np.array_equal(_to_box(x), x):
         raise BadParams("initial free lengths must lie within [1e-6, 1e3]")
     res = residual(x)
     iterations = 0
@@ -136,18 +140,14 @@ def _newton_run(residual, jacobian, x, tol):
         if biggest > MAX_LOG_STEP:
             step = step * (MAX_LOG_STEP / biggest)
         norm0 = float(np.linalg.norm(res))
-        lam = 1.0
-        improved = False
-        for _ in range(MAX_DAMPINGS):
-            trial = x + lam * step
-            trial_res = None if _outside_box(trial) else residual(trial)
-            if trial_res is not None and float(np.linalg.norm(trial_res)) < norm0:
-                x, res = trial, trial_res
-                improved = True
-                break
-            lam *= 0.5
         iterations += 1
-        if not improved:
+        for k in range(MAX_DAMPINGS):
+            trial = _to_box(x + 0.5**k * step)
+            trial_res = residual(trial)
+            if float(np.linalg.norm(trial_res)) < norm0:
+                x, res = trial, trial_res
+                break
+        else:
             break
     return x, float(np.max(np.abs(res), initial=0.0)), iterations
 
@@ -166,14 +166,16 @@ def extremize_action(
 
     The action is invariant under a common rescaling of all lengths, so the
     box and the starts are read at the fixed lengths' power of two, as in
-    ``newton_solve_teom``; when every edge is free, each x is evaluated,
-    reported and flagged at its shift to the geometric mean closest to 1
-    inside the box, so the box bounds only the length ratio, at 1e9.
+    ``newton_solve_teom``.  Each x is evaluated, reported and flagged at its
+    projection onto the box, shifted first, when every edge is free, to the
+    geometric mean nearest 1 in the box, which then bounds only the ratio, at 1e9.
     """
     if objective not in ("max", "min"):
         raise BadParams(f"objective must be 'max' or 'min', got {objective}")
     if restarts < 1:
         raise BadParams(f"restarts must be >= 1, got {restarts}")
+    if seed < 0:
+        raise BadParams(f"seed must be >= 0, got {seed}")
     fixed_map, k = _unit_scaled(fixed.lengths if fixed is not None else {})
     _require_edges(g, fixed_map)
     from scipy import optimize
@@ -182,20 +184,17 @@ def extremize_action(
         raise BadParams("no free edges to vary")
     sign = -1.0 if objective == "max" else 1.0
 
-    def point(x):
-        if fixed_map:
-            return x
-        t = x.tolist()  # shift to the geometric mean nearest 1 that keeps x in the box
-        return x + min(max(-sum(t) / len(t), LOG_LENGTH_LO - min(t)), LOG_LENGTH_HI - max(t))
+    def point(x):  # the point evaluated, reported and flagged for x
+        if not fixed_map:  # shift to the geometric mean nearest 1 that keeps x in the box
+            t = x.tolist()
+            x = x + min(max(-sum(t) / len(t), LOG_LENGTH_LO - min(t)), LOG_LENGTH_HI - max(t))
+        return _to_box(x)
 
     def lengths_at(x):
         return {**fixed_map, **dict(zip(free, map(math.exp, x.tolist())))}
 
     def value(x):
-        x = point(x)
-        if _outside_box(x):
-            return 1e9
-        g2 = g.with_lengths(lengths_at(x))
+        g2 = g.with_lengths(lengths_at(point(x)))
         return sign * action_plain(g2, GeodesicTable(g2)).total
 
     rng = np.random.default_rng(seed)

@@ -190,9 +190,12 @@ class TestGenAndVerify:
         assert captured.out == "" and "no perfect matching" in captured.err
 
     def test_half_half_needs_a_tree(self, capsys):
-        assert main(["gen", "complete", "--setting", "half-half"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "trees only" in captured.err
+        # refused in the load stage, like every other exit 2
+        for setting in ("half-half", "two-progression"):
+            assert main(["gen", "complete", "--setting", setting]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"input error: --setting {setting} applies to trees only\n"
 
 
 class TestActionCommand:
@@ -485,6 +488,15 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"invariant violation: BadParams: restarts must be >= 1, got {restarts}\n"
+
+    @pytest.mark.parametrize("command", ["solve-eom", "search"])
+    def test_negative_seed_is_an_invariant_violation(self, tmp_path, capsys, command):
+        graph, boundary = _tree_boundary_files(tmp_path)[:2]
+        argv = [graph, boundary] if command == "solve-eom" else [graph, "--objective", "max"]
+        assert main([command, *argv, "--seed", "-1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "invariant violation: BadParams: seed must be >= 0, got -1\n"
 
     def test_oversized_tree_is_refused(self, capsys):
         assert main(["gen", "tree", "--depth", "60"]) == 3

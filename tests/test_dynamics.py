@@ -250,6 +250,11 @@ class TestRatioFamily:
         with pytest.raises(BadParams, match="ratio must exceed 1, got 1.0"):
             t1_next_ratios(1.0)
 
+    @pytest.mark.parametrize("r", [math.inf, math.nan])
+    def test_requires_finite_ratio(self, r):
+        with pytest.raises(BadParams, match=f"ratio must exceed 1, got {r}"):
+            t1_next_ratios(r)
+
     @given(st.floats(min_value=1.001, max_value=50.0))
     @settings(max_examples=30, deadline=None)
     def test_family_is_involutive(self, r):
@@ -327,6 +332,11 @@ class TestHalfHalfFormulas:
     def test_rejects_nonpositive_ratio(self):
         with pytest.raises(BadParams, match="progression ratio must be positive, got 0.0"):
             geometric_half_half_stats(1, 0.0)
+
+    @pytest.mark.parametrize("r", [math.inf, math.nan])
+    def test_rejects_non_finite_ratio(self, r):
+        with pytest.raises(BadParams, match=f"progression ratio must be positive, got {r}"):
+            geometric_half_half_stats(3, r)
 
     def test_invariant_under_ratio_inversion(self):
         k1, r1 = geometric_half_half_stats(3, 2.0)

@@ -26,7 +26,7 @@ from graphgrav import (
 )
 from graphgrav.dynamics import _tree_system
 from graphgrav.errors import BadParams, NotAnEdge, NotATree
-from graphgrav.search import LOG_LENGTH_HI, LOG_LENGTH_LO, _newton_run
+from graphgrav.search import LOG_LENGTH_HI, LOG_LENGTH_LO, MAX_LOG_STEP, _newton_run
 
 from conftest import teom_residual
 
@@ -349,7 +349,8 @@ class TestNewton:
             init = Setting({key: math.exp(0.3 * sign) for key, sign in zip(interior, signs)})
             res = newton_solve_teom(g, boundary, init, tol=1e-10)
             low = min(math.log(res.setting[key]) for key in interior)
-            assert not res.converged and low < LOG_LENGTH_LO + 1e-6
+            # the trial that leaves the box is projected onto it
+            assert not res.converged and low == LOG_LENGTH_LO
             assert res.at_box_boundary
         res = newton_solve_teom(g, boundary, tol=1e-10)
         assert res.converged and not res.at_box_boundary
@@ -360,6 +361,24 @@ class TestNewton:
         boundary, _ = leaf_boundary(g)
         with pytest.raises(BadParams, match="tol must be positive and finite"):
             newton_solve_teom(g, boundary, tol=tol)
+
+    def test_step_past_the_box_is_projected_onto_it(self):
+        # the root of r(x) = x - x* lies below the floor: the iterates walk down
+        # by the trust region and stop on the floor itself
+        target = LOG_LENGTH_LO - 1.0
+        x, worst, iterations = _newton_run(
+            lambda x: x - target, lambda x: np.eye(1), np.zeros(1), 1e-12)
+        assert x[0] == LOG_LENGTH_LO and worst == 1.0
+        assert iterations == math.ceil(-LOG_LENGTH_LO / MAX_LOG_STEP) + 1
+
+    @pytest.mark.parametrize("init", [True, False], ids=["init", "random-starts"])
+    def test_negative_seed_rejected(self, init):
+        # with an init that converges at start 0 the seed is never drawn from
+        g = gen_tree(2, 2)
+        boundary, interior = leaf_boundary(g)
+        start = Setting({key: 1.0 for key in interior}) if init else None
+        with pytest.raises(BadParams, match="seed must be >= 0, got -1"):
+            newton_solve_teom(g, boundary, start, seed=-1)
 
     @pytest.mark.parametrize("start", [1e-7, 2e3])
     def test_start_outside_box_rejected(self, start):
@@ -409,12 +428,12 @@ class TestExtremize:
         again = action_plain(g, GeodesicTable(g)).total
         assert again == pytest.approx(res.objective, abs=1e-8)
 
-    @pytest.mark.parametrize("g, fixed, seeds", [
-        (gen_complete(3), {}, range(3)),
-        (gen_cycle(4), {}, range(10)),
-        (gen_cycle(4), {("0", "1"): 1.0}, range(3)),
+    @pytest.mark.parametrize("g, fixed, seeds, one_end_seen", [
+        (gen_complete(3), {}, range(3), True),
+        (gen_cycle(4), {}, range(10), False),
+        (gen_cycle(4), {("0", "1"): 1.0}, range(3), True),
     ], ids=["triangle", "square", "square-fixed"])
-    def test_box_flag_follows_the_rule_on_the_reported_point(self, g, fixed, seeds):
+    def test_box_flag_follows_the_rule_on_the_reported_point(self, g, fixed, seeds, one_end_seen):
         # the point is on the box when no move the search may make takes it
         # off: with every edge free the common scale moves, so a length must
         # sit at each end; with fixed data one end is enough
@@ -426,15 +445,15 @@ class TestExtremize:
             assert res.at_box_boundary is ((low and high) if not fixed else (low or high))
             flags.add(res.at_box_boundary)
             one_end |= low != high
-        # some run has a length at one end only, where the two rules differ:
-        # on the triangle the longest edge reaches the top end, but a ratio
-        # below 1e9 leaves the scale free to move it off
-        assert one_end
-        assert flags == ({False} if g.num_edges == 3 else {True, False})
-
+        # a length at one end only, where the two rules differ, shows with
+        # fixed data and on the triangle, where in seeds 1 and 2 the longest
+        # edge reaches the top end but a ratio below 1e9 leaves the scale
+        # free to move it off; every square run ends on both ends or neither
+        assert one_end is one_end_seen
+        assert flags == {True, False}
     @pytest.mark.parametrize("g, objective, bound", [
-        (gen_complete(4), "min", lambda v: v <= 4.0 + 1e-6),
-        (gen_cycle(5), "max", lambda v: v >= 5.999),
+        (gen_complete(4), "min", lambda v: v <= 4.0 + 1e-9),
+        (gen_cycle(5), "max", lambda v: v >= 5.99985),
     ], ids=["K4-min", "C5-max"])
     def test_degenerate_limits_are_reached_with_no_edge_fixed(self, g, objective, bound):
         # the K4 perfect-matching limit 4 and the C5 maximum 6 lie where a
@@ -443,6 +462,23 @@ class TestExtremize:
         for seed in range(3):
             res = extremize_action(g, None, objective, restarts=2, seed=seed)
             assert bound(res.objective), (seed, res.objective)
+
+    @pytest.mark.parametrize("g, fixed, objective, restarts, seed", [
+        (gen_complete(4), {}, "min", 2, 1),
+        (gen_cycle(4), {("0", "1"): 1.0, ("1", "2"): 1.0}, "max", 1, 0),
+        (gen_cycle(4), {}, "max", 1, 9),
+    ], ids=["K4-min", "C4-max-fixed", "C4-max"])
+    def test_run_pressed_against_the_box_ends_on_it(self, g, fixed, objective, restarts, seed):
+        # each point is projected onto the box, so a run that presses against
+        # it reports a length exactly on an end, and the flag reads that point
+        res = extremize_action(g, Setting(fixed), objective, restarts=restarts, seed=seed)
+        x = {math.log(ell) for key, ell in res.setting.lengths.items() if key not in fixed}
+        assert x & {LOG_LENGTH_LO, LOG_LENGTH_HI}
+        assert res.at_box_boundary
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(BadParams, match="seed must be >= 0, got -1"):
+            extremize_action(gen_complete(3), None, "max", restarts=1, seed=-1)
 
     @pytest.mark.parametrize("fixed", [{}, {("0", "1"): 1.0}], ids=["free", "fixed"])
     def test_objective_is_the_measured_action_of_the_reported_setting(self, fixed, monkeypatch):
