@@ -6,11 +6,6 @@ from .action import (
     action_ghy,
     action_plain,
     action_region_plain,
-    bound_upper_global,
-    boundary_minimizer,
-    boundary_term,
-    partial_action_complete,
-    partial_cost,
     ratio_bounds,
     tree_action_hex,
 )
@@ -25,7 +20,6 @@ from .dynamics import (
     Setting,
     geometric_half_half_stats,
     interior_edges,
-    is_tree,
     nogo_indicator,
     scale_setting,
     t1_next_ratios,

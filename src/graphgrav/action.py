@@ -1,5 +1,5 @@
-"""The gravitational action: edge-curvature sums, boundary closed forms,
-bounds, and the complete-graph partial-cost action.
+"""The gravitational action: edge-curvature sums, boundary closed forms
+and bounds.
 
 The closed forms for regions apply on trees whose boundary vertices each
 have a unique edge into the region; the extrinsic-curvature term is
@@ -8,13 +8,12 @@ never materialized, only the summed expression every bound uses.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .curvature import edge_curvatures, kappa_tree_closed
 from .dynamics import _require_tree
-from .errors import BadParams, NonUniqueInwardEdge, NotComplete, NotHexRegion
-from .graph import GeodesicTable, Region, WeightedGraph, _require_edges, edge_key, sigma_edges
+from .errors import NonUniqueInwardEdge, NotHexRegion
+from .graph import GeodesicTable, Region, WeightedGraph, sigma_edges
 
 
 @dataclass(frozen=True)
@@ -111,13 +110,6 @@ def boundary_term(p_inv: float, c_out: float, d_out: float) -> float:
     return (2.0 * p_inv * p_inv - p_inv * (p_inv + c_out)) / denom
 
 
-def boundary_minimizer(c_out: float, d_out: float) -> float:
-    """Inward length minimizing the boundary term: 1/C + sqrt(1/C^2 + 1/D)."""
-    if not c_out > 0 or not d_out > 0:
-        raise BadParams("boundary sums must be positive")
-    return 1.0 / c_out + math.sqrt(1.0 / (c_out * c_out) + 1.0 / d_out)
-
-
 def tree_action_hex(g: WeightedGraph, geo: GeodesicTable, region: Region) -> ActionReport:
     """Tree-action of a hexagonal-lattice region: the closed-form curvature
     summed over E(Sigma).
@@ -160,32 +152,3 @@ def ratio_bounds(g: WeightedGraph, geo: GeodesicTable, i):
     deg = g.degree(i)
     lower_ok = ratio > 1.0 if deg >= 2 else abs(ratio - 1.0) < 1e-12
     return ratio, lower_ok and ratio <= deg + 1e-9
-
-
-def partial_action_complete(g: WeightedGraph, geo: GeodesicTable) -> float:
-    """Action built from the one-sided partial costs on a complete graph.
-
-    The t -> 0 limit of (1 - W^p/P)/(2t) is (1 + P^-2/d_i)/2 termwise, so the
-    double sum collapses to sum_i (1 + deg(i))/2 = n^2/2 for K_n.
-    """
-    verts = g.vertices
-    n = len(verts)
-    for a in range(n):
-        for b in range(a + 1, n):
-            if not g.has_edge(verts[a], verts[b]):
-                raise NotComplete(f"missing edge ({verts[a]!r}, {verts[b]!r})")
-    total = 0.0
-    for i in verts:
-        _, d, pairs = geo.walk(i)
-        for _, p in pairs:
-            total += 0.5 * (1.0 + 1.0 / (p * p) / d)
-    return total
-
-
-def partial_cost(g: WeightedGraph, geo: GeodesicTable, i, j, t: float) -> float:
-    """One-sided partial cost (1 - t - t P^-2/d_i) P for the edge i -> j."""
-    _require_edges(g, [edge_key(i, j)])
-    p = geo.dist(i, j)
-    _, d, _ = geo.walk(i)
-    return (1.0 - t - t / (p * p) / d) * p
-

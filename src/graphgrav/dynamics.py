@@ -48,12 +48,8 @@ class EomReport:
     is_solution: bool
 
 
-def is_tree(g: WeightedGraph) -> bool:
-    return g.num_edges == len(g.vertices) - 1
-
-
 def _require_tree(g):
-    if not is_tree(g):
+    if g.num_edges != len(g.vertices) - 1:
         raise NotATree("operation is defined on trees only")
 
 

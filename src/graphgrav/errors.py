@@ -45,10 +45,6 @@ class NotATree(GraphGravError):
     pass
 
 
-class NotComplete(GraphGravError):
-    pass
-
-
 class TooLarge(GraphGravError):
     pass
 

@@ -107,13 +107,13 @@ class WeightedGraph:
         """Same topology with edge lengths replaced.
 
         ``new_lengths`` maps normalized edge keys to positive values; it must
-        cover every edge of the graph and name no other pair.
+        name no other pair (NotAnEdge) and cover every edge (BadParams).
         """
         _require_edges(self, new_lengths)
         out = {}
         for key in self._lengths:
             if key not in new_lengths:
-                raise NotAnEdge(f"no length given for edge {key!r}")
+                raise BadParams(f"no length given for edge {key!r}")
             val = float(new_lengths[key])
             _check_length(key, val)
             out[key] = val

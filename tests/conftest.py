@@ -67,9 +67,9 @@ def teom_residual(g, setting, i, j):
 
 def nogo_sum(g, region, setting):
     """Scalar no-go indicator: (c_i/d_i)/P_ij - 1 summed over boundary
-    vertices i in repr order and their neighbours j inside the region."""
+    vertices i in string order and their neighbours j inside the region."""
     total = 0.0
-    for i in sorted(region.boundary_vertices, key=repr):
+    for i in sorted(region.boundary_vertices):
         ratio = teom_rho(g, setting, i)
         for j in g.neighbors(i):
             if j in region.vertices:

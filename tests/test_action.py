@@ -1,4 +1,5 @@
 import math
+import random
 import re
 
 import pytest
@@ -10,9 +11,6 @@ from graphgrav import (
     action_ghy,
     action_plain,
     action_region_plain,
-    bound_upper_global,
-    boundary_minimizer,
-    boundary_term,
     build_graph,
     extract_region,
     find_perfect_matching,
@@ -22,20 +20,19 @@ from graphgrav import (
     gen_tree,
     hex_strong_fixed_edges,
     matching_setting,
-    partial_action_complete,
-    partial_cost,
+    neighbor_distribution,
     ratio_bounds,
     sigma_edges,
     tree_action_hex,
+    wasserstein,
     HexRegionSpec,
 )
+from graphgrav.action import boundary_term
 from graphgrav.curvature import _kappa_transport
 from graphgrav.errors import (
-    BadParams,
     NonUniqueInwardEdge,
     NotAnEdge,
     NotATree,
-    NotComplete,
     NotHexRegion,
 )
 
@@ -220,6 +217,29 @@ class TestRegionPlain:
         assert boundary_term(1.0 / p, c_out, d_out) <= 1.0 + 1e-12
 
 
+def double_star_action(c_out, d_out):
+    """The plain region action of {x, y} on a double star, as a function of
+    the length P of x-y.  Each end has C^2/D leaves at length C/D, so both
+    boundary vertices see the outward sums C = sum 1/l and D = sum 1/l^2."""
+    leaves, outward = round(c_out * c_out / d_out), c_out / d_out
+    ends = [(f"{v}{k}", v) for v in "xy" for k in range(leaves)]
+    edges = [("x", "y", 1.0), *((leaf, v, outward) for leaf, v in ends)]
+    g = build_graph(["x", "y", *(leaf for leaf, _ in ends)], edges)
+    region = extract_region(g, ["x", "y"])
+
+    def action(p):
+        lengths = {key: outward for key in g.lengths()}
+        lengths["x", "y"] = p
+        return action_region_plain(g.with_lengths(lengths), region).total
+
+    return action
+
+
+def boundary_minimizer(c_out, d_out):
+    """Inward length that minimizes the boundary term: 1/C + sqrt(1/C^2 + 1/D)."""
+    return 1.0 / c_out + math.sqrt(1.0 / (c_out * c_out) + 1.0 / d_out)
+
+
 class TestBoundaryMinimizer:
     @pytest.mark.parametrize(
         "c, d, want",
@@ -229,26 +249,27 @@ class TestBoundaryMinimizer:
         ],
     )
     def test_closed_form(self, c, d, want):
-        assert boundary_minimizer(c, d) == pytest.approx(want, abs=1e-5)
-
-    def test_scan_confirms_minimum(self):
-        c_out = d_out = 2.0
-        best_p = boundary_minimizer(c_out, d_out)
-        # golden-section search over (0, 10] as an independent check
+        assert boundary_minimizer(c, d) == pytest.approx(want, abs=1e-12)
+        # golden-section search of the region action over P in (0, 10]
+        action = double_star_action(c, d)
         phi = (math.sqrt(5.0) - 1.0) / 2.0
         lo, hi = 1e-3, 10.0
         for _ in range(80):
             m1 = hi - phi * (hi - lo)
             m2 = lo + phi * (hi - lo)
-            if boundary_term(1.0 / m1, c_out, d_out) < boundary_term(1.0 / m2, c_out, d_out):
+            if action(m1) < action(m2):
                 hi = m2
             else:
                 lo = m1
-        assert 0.5 * (lo + hi) == pytest.approx(best_p, abs=1e-6)
+        assert 0.5 * (lo + hi) == pytest.approx(want, abs=1e-6)
 
-    def test_rejects_nonpositive(self):
-        with pytest.raises(BadParams, match="boundary sums must be positive"):
-            boundary_minimizer(0.0, 1.0)
+    def test_scan_confirms_minimum(self):
+        # C = 6, D = 12: three leaves at 1/2 per end, least at P = 1/2; no P
+        # on a log grid over [1e-2, 1e2] gives a smaller action
+        action = double_star_action(6.0, 12.0)
+        p = boundary_minimizer(6.0, 12.0)
+        assert p == pytest.approx(0.5, abs=1e-12)
+        assert min(action(10.0 ** (k / 100.0)) for k in range(-200, 201)) >= action(p) - 1e-12
 
 
 class TestHexTreeAction:
@@ -296,11 +317,55 @@ class TestHexTreeAction:
             tree_action_hex(g, GeodesicTable(g), cut)
 
 
+class TestHexStrongBoundaryMinimum:
+    """On hex r2 with ``hex_strong_fixed_edges`` held at 1, the plain action
+    S over E(Sigma) rises linearly from the constant setting along every
+    sampled direction of the free region edges: evidence, not a proof, that
+    the constant setting is a sharp local minimum (the closed-form tree
+    curvature alone is flat there to first order)."""
+
+    @pytest.fixture(scope="class")
+    def hex_action(self):
+        g, region = gen_hex_region(HexRegionSpec(2))
+        edges = sigma_edges(g, region)
+        fixed = hex_strong_fixed_edges(g, region)
+        free = [key for key in edges if key not in fixed]
+
+        def action(moved):
+            g2 = g.with_lengths({key: moved.get(key, 1.0) for key in g.lengths()})
+            return action_plain(g2, GeodesicTable(g2), edges).total
+
+        return action, free
+
+    def test_setup(self, hex_action):
+        action, free = hex_action
+        assert len(free) == 12
+        assert action({}) == pytest.approx(-28.0, abs=1e-9)
+
+    @pytest.mark.parametrize("h", [1e-6, 1e-4])
+    def test_slope_two_both_ways_along_each_free_edge(self, hex_action, h):
+        action, free = hex_action
+        s0 = action({})
+        for key in free:
+            assert (action({key: 1.0 + h}) - s0) / h == pytest.approx(2.0, abs=2 * h)
+            assert (action({key: 1.0 - h}) - s0) / h == pytest.approx(2.0, abs=2 * h)
+
+    def test_linear_rise_along_random_directions(self, hex_action):
+        action, free = hex_action
+        s0 = action({})
+        rand = random.Random(0)
+        h = 1e-5
+        for _ in range(20):
+            d = {key: rand.gauss(0.0, 1.0) for key in free}
+            rise = action({key: 1.0 + h * x for key, x in d.items()}) - s0
+            assert rise >= 0.5 * h * sum(map(abs, d.values()))
+
+
 class TestBounds:
     def test_complete_graph_bound(self):
         for n in (3, 4, 5):
             g = gen_complete(n)
-            assert bound_upper_global(g) == n * (n - 1)
+            assert action_plain(g, GeodesicTable(g)).bound_upper == n * (n - 1)
 
     def test_single_edge_tree(self):
         # one edge between two leaves: curvature 2, bound 2|E| = 2 is tight
@@ -345,27 +410,48 @@ class TestRatioBounds:
         assert ratio_bounds(g, geo, "a") == (1.0, True)
 
 
+def one_sided_cost(geo, i, j, t):
+    """Partial cost (1 - t - t P^-2/d_i) P of the edge i -> j: the cost of
+    moving i's distribution onto j's when only i's own mass moves."""
+    p = geo.dist(i, j)
+    _, d, _ = geo.walk(i)
+    return (1.0 - t - t / (p * p) / d) * p
+
+
+def partial_cost_limit(geo, i, j):
+    """The t -> 0 limit of 1 - (W^p(i->j) + W^p(j->i)) / (2 P t), that is
+    1 + (P^-2/d_i + P^-2/d_j)/2, which bounds kappa_ij by the pairing bound."""
+    p = geo.dist(i, j)
+    return 1.0 + 0.5 * sum(1.0 / (p * p) / geo.walk(v)[1] for v in (i, j))
+
+
 class TestPartialCosts:
     def test_complete_graphs(self):
-        for n in (3, 4):
+        # at constant lengths the limit is attained on every edge, and the
+        # edge limits sum to n^2/2, the action's maximum on K_n
+        for n in (3, 4, 5, 6):
             g = gen_complete(n)
-            assert partial_action_complete(g, GeodesicTable(g)) == pytest.approx(n * n / 2.0)
+            geo = GeodesicTable(g)
+            rep = action_plain(g, geo)
+            for (u, v), k in rep.per_edge.items():
+                assert k == pytest.approx(partial_cost_limit(geo, u, v), abs=1e-9)
+            assert rep.total == pytest.approx(n * n / 2.0, abs=1e-9)
 
     def test_any_lengths(self, rng):
-        g = gen_complete(4)
-        lengths = {key: rng.uniform(0.5, 2.0) for key in g.lengths()}
-        g2 = g.with_lengths(lengths)
-        assert partial_action_complete(g2, GeodesicTable(g2)) == pytest.approx(8.0)
-
-    def test_rejects_incomplete(self):
-        g = gen_cycle(4)
-        with pytest.raises(NotComplete):
-            partial_action_complete(g, GeodesicTable(g))
+        # sum_j P_ij^-2 / d_i = 1 at each vertex, so the limits sum to n^2/2
+        # at any lengths, and each bounds its edge's curvature
+        for n in (3, 4, 5, 6):
+            g = gen_complete(n)
+            for _ in range(10):
+                g2 = g.with_lengths({key: rng.uniform(0.5, 2.0) for key in g.lengths()})
+                geo = GeodesicTable(g2)
+                per_edge = action_plain(g2, geo).per_edge
+                assert sum(partial_cost_limit(geo, u, v) for u, v in g2.edges) == pytest.approx(n * n / 2.0)
+                for (u, v), k in per_edge.items():
+                    assert k <= partial_cost_limit(geo, u, v) + 1e-9
 
     def test_pairing_lower_bound(self, rng):
         # 2 W >= W^p(i->j) + W^p(j->i) at small t
-        from graphgrav import neighbor_distribution, wasserstein
-
         t = 1e-4
         for n in (4, 5, 6):
             g = gen_complete(n)
@@ -379,5 +465,5 @@ class TestPartialCosts:
                     neighbor_distribution(g2, geo, u, t),
                     neighbor_distribution(g2, geo, v, t),
                 ).cost
-                paired = partial_cost(g2, geo, u, v, t) + partial_cost(g2, geo, v, u, t)
+                paired = one_sided_cost(geo, u, v, t) + one_sided_cost(geo, v, u, t)
                 assert 2.0 * w >= paired - 1e-12

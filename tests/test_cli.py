@@ -431,6 +431,18 @@ class TestExitCodes:
         code, _ = run(capsys, "solve-eom", graph, boundary, "--init", str(init))
         assert code == 3
 
+    def test_setting_missing_an_edge_is_bad_params(self, tmp_path, capsys):
+        # a partial setting file leaves an edge without a length, for every
+        # command that applies --setting to the graph
+        graph = write_triangle(tmp_path)
+        setting = tmp_path / "s.json"
+        setting.write_text(json.dumps({"lengths": [{"u": "a", "v": "b", "len": 2.0}]}))
+        for command in ("action", "curvature", "bounds"):
+            assert main([command, graph, "--setting", str(setting)]) == 3
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "invariant violation: BadParams: no length given for edge ('b', 'c')\n"
+
     def test_setting_naming_a_non_edge_is_an_invariant_violation(self, tmp_path, capsys):
         (tmp_path / "k3.json").write_text(json.dumps(_graph_to_json(gen_complete(3))))
         setting = {"lengths": [{"u": "0", "v": "1", "len": 1.0}, {"u": "0", "v": "2", "len": 1.0},

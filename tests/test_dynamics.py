@@ -11,6 +11,7 @@ from graphgrav import (
     constant_setting,
     extract_region,
     gen_complete,
+    gen_cycle,
     gen_tree,
     geometric_half_half_stats,
     half_half_setting,
@@ -25,7 +26,6 @@ from graphgrav import (
     verify_solution,
 )
 from graphgrav.cli import _setting_from_json, _setting_to_json
-from graphgrav.dynamics import is_tree
 from graphgrav.errors import (
     BadParams,
     NotATree,
@@ -173,6 +173,24 @@ class TestScalarOracle:
             {key: ell for key, ell in s.lengths.items() if region.boundary_vertices & set(key)}
         )
         assert nogo_indicator(g, region, data) == nogo_sum(g, region, s)
+
+    def test_nogo_equals_oracle_on_ids_that_sort_apart_by_repr(self):
+        # "1'" has the repr "1'" in double quotes, which sorts before every
+        # single-quoted repr, while as a string it sorts between "1" and "10";
+        # the boundary sum is taken in string order, so the floats agree
+        g0 = gen_tree(2, 3)
+        name = {v: v + "'" if int(v) % 2 else v for v in g0.vertices}
+        sigma = [name[v] for v in g0.vertices if int(v) <= 9]  # the root's ball of radius 2
+        for seed in range(200):
+            rng = random.Random(seed)
+            g = build_graph(
+                list(name.values()),
+                [(name[u], name[v], rng.uniform(0.5, 2.0)) for u, v in g0.edges],
+            )
+            region = extract_region(g, sigma)
+            s = Setting(g.lengths())
+            data = Setting({key: ell for key, ell in s.lengths.items() if region.boundary_vertices & set(key)})
+            assert nogo_indicator(g, region, data) == nogo_sum(g, region, s)
 
 
 class TestDegenerate:
@@ -419,5 +437,10 @@ def test_setting_json_round_trip():
 
 
 def test_is_tree():
-    assert is_tree(gen_tree(2, 2))
-    assert not is_tree(gen_complete(3))
+    # the tree gate counts edges: a connected graph is a tree when it has one
+    # edge fewer than vertices
+    g = gen_tree(2, 2)
+    assert verify_solution(g, constant_setting(g, 1.0)).is_solution
+    for g in (gen_complete(3), gen_cycle(4)):
+        with pytest.raises(NotATree):
+            verify_solution(g, constant_setting(g, 1.0))

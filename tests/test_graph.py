@@ -114,7 +114,7 @@ class TestBuildGraph:
             line3.length("a", "c")
 
     def test_with_lengths_demands_cover(self, line3):
-        with pytest.raises(NotAnEdge):
+        with pytest.raises(BadParams, match=re.escape("no length given for edge ('b', 'c')")):
             line3.with_lengths({("a", "b"): 2.0})
 
     def test_with_lengths_rejects_a_non_edge(self, line3):

@@ -82,6 +82,41 @@ def test_every_definition_is_referenced():
     assert dead == []
 
 
+def unread_exports(init_source, modules, outside):
+    """Functions that ``init_source`` imports from a package module and that
+    no other package module and no source in ``outside`` reads, in export
+    order; ``modules`` maps each package module's name to its source."""
+    unread = []
+    for node in ast.parse(init_source).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            functions = {
+                f.name for f in ast.parse(modules[node.module]).body if isinstance(f, ast.FunctionDef)
+            }
+            readers = [src for name, src in modules.items() if name != node.module] + outside
+            read = set().union(*map(referenced_names, readers))
+            unread += [a.name for a in node.names if a.name in functions and a.name not in read]
+    return unread
+
+
+def test_finds_an_unread_export():
+    init = "from .a import K, f, g\nfrom .b import h\n"
+    modules = {
+        "a": "def f():\n    pass\n\ndef g():\n    return f()\n\nclass K:\n    pass\n",
+        "b": "from .a import g\n\ndef h():\n    return g()\n",
+    }
+    assert unread_exports(init, modules, ["import pkg\npkg.h()\n"]) == ["f"]
+
+
+def test_every_export_has_a_caller():
+    """A function that __init__.py exports is read by another module of src/
+    or by perfbench/; one that only its own module or the tests read is
+    public surface with no caller."""
+    package = ROOT / "src" / "graphgrav"
+    modules = {p.stem: p.read_text() for p in package.glob("*.py") if p.name != "__init__.py"}
+    outside = [p.read_text() for p in (ROOT / "perfbench").rglob("*.py")]
+    assert unread_exports((package / "__init__.py").read_text(), modules, outside) == []
+
+
 def raised_names(source):
     """Names of the exceptions a module's ``raise`` statements raise, called
     (``raise E(...)``) or not, bare or as an attribute (``errors.E``)."""
