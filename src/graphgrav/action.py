@@ -1,9 +1,9 @@
-"""The gravitational action: edge-curvature sums, boundary closed forms
+"""The gravitational action: edge-curvature sums, vertex-sum closed forms
 and bounds.
 
-The closed forms for regions apply on trees whose boundary vertices each
-have a unique edge into the region; the extrinsic-curvature term is
-never materialized, only the summed expression every bound uses.
+Each boundary vertex of a region action's region needs a unique edge into
+the region.  Every plain action's total is the sum of the edge curvatures
+it reports.
 """
 
 from __future__ import annotations
@@ -38,16 +38,17 @@ def action_plain(g: WeightedGraph, geo: GeodesicTable, edge_set=None) -> ActionR
 
 def _closed_form_parts(g, geo, region):
     """The closed-form curvature of every edge of E(Sigma), the interior
-    vertex sum of 2 - c^2/d, and (i0, walk of i) for each boundary vertex i
-    in a fixed order, i0 being its one neighbour in the region; raises
-    NonUniqueInwardEdge if i has none or more than one."""
+    vertex sum of 2 - c^2/d, and c^2/d of each boundary vertex in a fixed
+    order; raises NonUniqueInwardEdge if a boundary vertex has no edge into
+    the region or more than one."""
     verts = region.vertices
     boundary = []
     for i in sorted(region.boundary_vertices):
-        inward = [j for j in g.neighbors(i) if j in verts]
-        if len(inward) != 1:
-            raise NonUniqueInwardEdge(f"boundary vertex {i!r} has {len(inward)} edges into the region")
-        boundary.append((inward[0], geo.walk(i)))
+        inward = sum(j in verts for j in g.neighbors(i))
+        if inward != 1:
+            raise NonUniqueInwardEdge(f"boundary vertex {i!r} has {inward} edges into the region")
+        c, d, _ = geo.walk(i)
+        boundary.append(c * c / d)
     per_edge = {(u, v): kappa_tree_closed(g, geo, u, v) for u, v in sigma_edges(g, region)}
     interior = 0.0
     for i in sorted(region.interior):
@@ -67,8 +68,8 @@ def action_ghy(g: WeightedGraph, region: Region) -> ActionReport:
     _require_tree(g)
     geo = GeodesicTable(g)
     per_edge, total, boundary = _closed_form_parts(g, geo, region)
-    for _, (c, d, _) in boundary:
-        total -= c * c / d
+    for ratio in boundary:
+        total -= ratio
     return ActionReport(
         total=total,
         per_edge=per_edge,
@@ -78,36 +79,17 @@ def action_ghy(g: WeightedGraph, region: Region) -> ActionReport:
 
 
 def action_region_plain(g: WeightedGraph, region: Region) -> ActionReport:
-    """Plain action over E(Sigma) in closed form; identical to summing the
-    edge curvatures, with the boundary vertices contributing
-
-        2 P^-2 / (P^-2 + D_i)  -  P^-1 (P^-1 + C_i) / (P^-2 + D_i)
-
-    through their unique edge into the region, of length P."""
+    """Plain action over E(Sigma): the sum of the closed-form edge
+    curvatures, on a tree whose boundary vertices each have a unique edge
+    into the region."""
     _require_tree(g)
-    geo = GeodesicTable(g)
-    per_edge, total, boundary = _closed_form_parts(g, geo, region)
-    for i0, (_, _, pairs) in boundary:
-        c_out = d_out = 0.0
-        for j, p in pairs:
-            if j == i0:
-                p_inv = 1.0 / p
-            else:
-                c_out += 1.0 / p
-                d_out += 1.0 / (p * p)
-        total += boundary_term(p_inv, c_out, d_out)
+    per_edge, _, _ = _closed_form_parts(g, GeodesicTable(g), region)
     return ActionReport(
-        total=total,
+        total=sum(per_edge.values()),
         per_edge=per_edge,
         bound_upper=bound_upper_global(g),
         variant="plain",
     )
-
-
-def boundary_term(p_inv: float, c_out: float, d_out: float) -> float:
-    """Boundary vertex contribution to the plain region action; at most 1."""
-    denom = p_inv * p_inv + d_out
-    return (2.0 * p_inv * p_inv - p_inv * (p_inv + c_out)) / denom
 
 
 def tree_action_hex(g: WeightedGraph, geo: GeodesicTable, region: Region) -> ActionReport:

@@ -73,7 +73,7 @@ class WeightedGraph:
 
     @property
     def edges(self):
-        return tuple(sorted(self._lengths))
+        return tuple(self._lengths)
 
     @property
     def num_edges(self):
@@ -100,7 +100,7 @@ class WeightedGraph:
         return self._lengths[key]
 
     def lengths(self):
-        """Copy of the edge -> length map."""
+        """Copy of the edge -> length map, in `edges` order."""
         return dict(self._lengths)
 
     def with_lengths(self, new_lengths):
@@ -152,7 +152,7 @@ def build_graph(vertex_ids, weighted_edges):
     adj = {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
     if not _connected(adj, vset):
         raise Disconnected("graph is not connected")
-    return WeightedGraph(vertices, adj, lengths)
+    return WeightedGraph(vertices, adj, dict(sorted(lengths.items())))
 
 
 def _connected(adj, within):

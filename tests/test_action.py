@@ -27,7 +27,6 @@ from graphgrav import (
     wasserstein,
     HexRegionSpec,
 )
-from graphgrav.action import boundary_term
 from graphgrav.curvature import _kappa_transport
 from graphgrav.errors import (
     NonUniqueInwardEdge,
@@ -204,17 +203,41 @@ class TestRegionPlain:
             assert closed == pytest.approx(direct, abs=1e-9)
 
     def test_boundary_term_vanishing_edge(self):
-        # a matching edge of length eps drives the boundary term to 1
-        assert boundary_term(1.0 / 1e-8, 2.0, 2.0) == pytest.approx(1.0, abs=1e-7)
+        # an inward edge of length eps drives each boundary vertex's share of
+        # the {x, y} action to 1 (C = D = 2: two leaves at 1 on each end)
+        assert double_star_action(2.0, 2.0)(1e-8) == pytest.approx(2.0, abs=1e-7)
 
     @given(
         st.floats(min_value=0.01, max_value=100.0),
-        st.floats(min_value=0.01, max_value=10.0),
-        st.floats(min_value=0.01, max_value=10.0),
+        st.integers(min_value=1, max_value=4),
+        st.floats(min_value=0.1, max_value=10.0),
     )
     @settings(max_examples=50, deadline=None)
-    def test_boundary_term_at_most_one(self, p, c_out, d_out):
-        assert boundary_term(1.0 / p, c_out, d_out) <= 1.0 + 1e-12
+    def test_boundary_term_at_most_one(self, p, leaves, outward):
+        # {x, y} has two boundary vertices and no interior, at any inward P
+        c_out, d_out = leaves / outward, leaves / (outward * outward)
+        assert double_star_action(c_out, d_out)(p) <= 2.0 + 1e-12
+
+
+class TestTotalIsEdgeSum:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_trees_and_hex_regions(self, seed):
+        # every plain action reports the sum of its per-edge curvatures, bit
+        # for bit, at random lengths
+        rng = random.Random(seed)
+        tree = gen_tree(2, 3)
+        tree = tree.with_lengths({key: rng.uniform(0.5, 2.0) for key in tree.lengths()})
+        hexg, hex_region = gen_hex_region(HexRegionSpec(2))
+        hexg = hexg.with_lengths({key: rng.uniform(0.5, 2.0) for key in hexg.lengths()})
+        hex_geo = GeodesicTable(hexg)
+        reports = [
+            action_plain(tree, GeodesicTable(tree)),
+            action_region_plain(tree, extract_region(tree, ball(tree, "0", 2))),
+            action_plain(hexg, hex_geo, sigma_edges(hexg, hex_region)),
+            tree_action_hex(hexg, hex_geo, hex_region),
+        ]
+        for rep in reports:
+            assert rep.total == sum(rep.per_edge.values())
 
 
 def double_star_action(c_out, d_out):

@@ -441,7 +441,7 @@ class TestExitCodes:
             assert main([command, graph, "--setting", str(setting)]) == 3
             out, err = capsys.readouterr()
             assert out == ""
-            assert err == "invariant violation: BadParams: no length given for edge ('b', 'c')\n"
+            assert err == "invariant violation: BadParams: no length given for edge ('a', 'c')\n"
 
     def test_setting_naming_a_non_edge_is_an_invariant_violation(self, tmp_path, capsys):
         (tmp_path / "k3.json").write_text(json.dumps(_graph_to_json(gen_complete(3))))

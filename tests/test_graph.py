@@ -117,6 +117,15 @@ class TestBuildGraph:
         with pytest.raises(BadParams, match=re.escape("no length given for edge ('b', 'c')")):
             line3.with_lengths({("a", "b"): 2.0})
 
+    def test_one_edge_order_whatever_order_the_edges_are_given_in(self):
+        # the triangle a-b, b-c, a-c, given in that order and reversed
+        edges = [("a", "b", 1.0), ("b", "c", 1.0), ("a", "c", 1.0)]
+        for given_edges in (edges, edges[::-1]):
+            g = build_graph(["a", "b", "c"], given_edges)
+            assert list(g.lengths()) == list(g.edges) == [("a", "b"), ("a", "c"), ("b", "c")]
+            with pytest.raises(BadParams, match=re.escape("no length given for edge ('a', 'c')")):
+                g.with_lengths({("a", "b"): 2.0})
+
     def test_with_lengths_rejects_a_non_edge(self, line3):
         with pytest.raises(NotAnEdge):
             line3.with_lengths({("a", "b"): 2.0, ("b", "c"): 1.0, ("a", "c"): 1.0})

@@ -64,22 +64,40 @@ def test_finds_an_unreferenced_definition():
     assert [name for name in defined if name not in referenced_names(source)] == ["Gone"]
 
 
-def test_every_definition_is_referenced():
-    """A top-level function or class of the package, or a helper of
-    tests/conftest.py, that no module of src/, tests/ or perfbench/ reads
-    is dead; an export in __init__.py is not a read."""
-    package = ROOT / "src" / "graphgrav"
-    readers = [*package.glob("*.py"), *(ROOT / "tests").glob("*.py")]
-    readers += (ROOT / "perfbench").rglob("*.py")
-    readers.remove(package / "__init__.py")
-    referenced = set().union(*(referenced_names(p.read_text()) for p in readers))
+def dead_definitions(package, conftest, tests, perfbench):
+    """Top-level definitions, as ``file:name``, that their readers never
+    read: those of the package modules (``package`` maps file names to
+    sources) by the package or ``perfbench``, those of ``conftest`` by
+    ``tests``.  A test is not a reader of the package."""
+    package_read = set().union(*map(referenced_names, [*package.values(), *perfbench]))
+    tests_read = set().union(*map(referenced_names, tests))
     dead = [
-        f"{path.name}:{name}"
-        for path in [*sorted(package.glob("*.py")), ROOT / "tests" / "conftest.py"]
-        for name in top_level_definitions(path.read_text())
-        if name not in referenced
+        f"{name}:{d}"
+        for name, source in sorted(package.items())
+        for d in top_level_definitions(source)
+        if d not in package_read
     ]
-    assert dead == []
+    return dead + [f"conftest.py:{d}" for d in top_level_definitions(conftest) if d not in tests_read]
+
+
+def test_finds_a_package_definition_only_tests_read():
+    package = {"action.py": "def total():\n    return 0.0\n\ndef term():\n    return 1.0\n"}
+    conftest = "def ball():\n    pass\n\ndef gone():\n    pass\n"
+    tests = ["from conftest import ball\nfrom graphgrav.action import term\n\nball()\nterm()\n"]
+    perfbench = ["import graphgrav.action\n\ngraphgrav.action.total()\n"]
+    assert dead_definitions(package, conftest, tests, perfbench) == ["action.py:term", "conftest.py:gone"]
+
+
+def test_every_definition_is_referenced():
+    """A top-level function or class of the package that no module of src/
+    or perfbench/ reads, or a helper of tests/conftest.py that no test
+    module reads, is dead; an export in __init__.py is not a read."""
+    package = ROOT / "src" / "graphgrav"
+    modules = {p.name: p.read_text() for p in package.glob("*.py") if p.name != "__init__.py"}
+    tests = [p.read_text() for p in (ROOT / "tests").glob("*.py")]
+    perfbench = [p.read_text() for p in (ROOT / "perfbench").rglob("*.py")]
+    conftest = (ROOT / "tests" / "conftest.py").read_text()
+    assert dead_definitions(modules, conftest, tests, perfbench) == []
 
 
 def unread_exports(init_source, modules, outside):

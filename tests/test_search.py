@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -12,6 +13,7 @@ from graphgrav import (
     GeodesicTable,
     Setting,
     action_plain,
+    build_graph,
     edge_key,
     extract_region,
     extremize_action,
@@ -239,6 +241,13 @@ class TestNewton:
         g = gen_tree(2, 2)
         with pytest.raises(BadParams):
             newton_solve_teom(g, Setting({}), Setting({key: 1.0 for key in g.lengths()}))
+
+    def test_missing_boundary_named_in_edge_order(self):
+        # the path a-b-c-d given from its far end: a-b is the first
+        # non-interior edge in `g.edges` order, c-d the first in file order
+        g = build_graph(list("abcd"), [("c", "d", 1.0), ("b", "c", 1.0), ("a", "b", 1.0)])
+        with pytest.raises(BadParams, match=re.escape("non-interior edge ('a', 'b')")):
+            newton_solve_teom(g, Setting({}), Setting({("b", "c"): 1.0}))
 
     def test_non_tree_rejected(self):
         g = gen_complete(4)
