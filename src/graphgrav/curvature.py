@@ -34,16 +34,15 @@ def kappa_t(g: WeightedGraph, geo: GeodesicTable, i, j, t: float) -> float:
 
 def kappa(g: WeightedGraph, geo: GeodesicTable, i, j) -> float:
     """Limit of kappa_t(t)/t as t -> 0: `kappa_tree_closed`, with no solve,
-    where i and j share no neighbour and d(a, b) = d(a, i) + d(i, j) + d(j, b)
-    for their other neighbours a and b, else the halving limit.  The test
-    allows 1e-12 d(i, j) of rounding; an edge whose rounding exceeds that, at
-    an extreme length ratio, takes the solve."""
-    if set(g.neighbors(i)).isdisjoint(g.neighbors(j)):  # exits at once on K_n
-        p = geo.dist(i, j)
-        near_j = [(b, pb) for b, pb in geo.walk(j)[2] if b != i]
-        if all(geo.dist(a, b) >= pa + p + pb - 1e-12 * p
-               for a, pa in geo.walk(i)[2] if a != j for b, pb in near_j):
-            return kappa_tree_closed(g, geo, i, j)
+    where d(a, b) = d(a, i) + d(i, j) + d(j, b) for every other neighbour a of
+    i and b of j (a shared neighbour c fails at d(c, c) = 0), else the halving
+    limit.  The test allows 1e-12 d(i, j) of rounding; an edge whose rounding
+    exceeds that, at an extreme length ratio, takes the solve."""
+    p = geo.dist(i, j)
+    near_j = [(b, pb) for b, pb in geo.walk(j)[2] if b != i]
+    if all(geo.dist(a, b) >= pa + p + pb - 1e-12 * p
+           for a, pa in geo.walk(i)[2] if a != j for b, pb in near_j):
+        return kappa_tree_closed(g, geo, i, j)
     return _kappa_transport(g, geo, i, j)
 
 

@@ -130,12 +130,17 @@ def _tree_system(g, interior, free, fixed):
     return residual, jacobian
 
 
+def _unit_exponent(log2_sum, n):
+    """k = -round(mean log2 l) for n lengths whose log2 sum to ``log2_sum``."""
+    return -round(log2_sum / n) if n else 0
+
+
 def _unit_scaled(lengths):
-    """(lengths * 2^k, k), k = -round(mean log2 l).  A power of two scales a
+    """(lengths * 2^k, k), k = `_unit_exponent`.  A power of two scales a
     float exactly, so the residual, of degree 1 in the lengths, is 2^k times
     its value at the given lengths wherever l*l and 1/(l*l) stay finite there,
     and finite at every common scale of the lengths; c/(d P) is unchanged."""
-    k = -round(sum(map(math.log2, lengths.values())) / len(lengths)) if lengths else 0
+    k = _unit_exponent(sum(map(math.log2, lengths.values())), len(lengths))
     return {key: math.ldexp(ell, k) for key, ell in lengths.items()}, k
 
 

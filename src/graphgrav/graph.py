@@ -90,9 +90,6 @@ class WeightedGraph:
     def degree(self, v):
         return len(self.neighbors(v))
 
-    def has_edge(self, u, v):
-        return edge_key(u, v) in self._lengths
-
     def length(self, u, v):
         key = edge_key(u, v)
         if key not in self._lengths:

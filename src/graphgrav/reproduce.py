@@ -289,12 +289,10 @@ def criterion_12() -> CriterionResult:
     rep = tree_action_hex(g, geo, region)
     identity_gap = abs(rep.total - rep.closed_form)
     rng = random.Random(SEED)
-    free = [key for key in g.lengths() if key not in hex_strong_fixed_edges(g, region)]
+    strong = hex_strong_fixed_edges(g, region)
     dominated = True
     for _ in range(50):
-        lengths = {key: 1.0 for key in g.lengths()}
-        for key in free:
-            lengths[key] = rng.uniform(0.5, 2.0)
+        lengths = {key: 1.0 if key in strong else rng.uniform(0.5, 2.0) for key in g.lengths()}
         g2 = g.with_lengths(lengths)
         geo2 = GeodesicTable(g2)
         s_t = tree_action_hex(g2, geo2, region).total

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import action_plain
-from .dynamics import Setting, _require_tol, _require_tree, _tree_system, _unit_scaled, interior_edges
+from .dynamics import Setting, _require_tol, _require_tree, _tree_system, _unit_exponent, _unit_scaled, interior_edges
 from .errors import BadParams, SingularJacobian
 from .graph import GeodesicTable, WeightedGraph, _require_edges
 
@@ -49,11 +49,11 @@ def newton_solve_teom(
     """Damped Newton on the log-lengths of the non-fixed interior edges.
 
     ``boundary`` and ``init`` name edges of g only.  ``boundary`` must fix
-    at least every non-interior edge; fixing interior edges as well is
-    allowed and leaves an overdetermined system, solved in the
-    least-squares sense.  Up to 1 + ``restarts`` starts are run until one
-    passes ``verify_solution`` at a finite tol > 0, else the first with the least
-    residual is kept; ``restarts_used`` is its 0-based index and the
+    at least every non-interior edge; fixing interior edges too leaves an
+    overdetermined system, solved in the least-squares sense.  Each of up to
+    1 + ``restarts`` starts stops as soon as its lengths pass ``verify_solution``
+    at tol (finite, > 0); the first that passes is kept, else the first with
+    the least residual: ``restarts_used`` is its 0-based index and the
     objective its final maximum absolute residual.  Start 0 is ``init`` when
     given; every other start puts each free log-length at the mean log of
     the boundary lengths plus U[-0.3, 0.3], drawn from ``seed``.
@@ -83,6 +83,11 @@ def newton_solve_teom(
         if key not in init:
             raise BadParams(f"init must give a length for free edge {key!r}")
     fixed, k = _unit_scaled(boundary.lengths)
+    log_fixed = float(np.sum([math.log(v) for v in fixed.values()]))
+    anchor = log_fixed / len(fixed) if fixed else 0.0
+
+    def exponent(x):  # verify_solution's power of two for the lengths at x, read from x
+        return _unit_exponent((log_fixed + float(np.sum(x))) / math.log(2.0), len(fixed) + len(free))
 
     residual, jacobian = _tree_system(g, interior, free, fixed)
     rng = best = None
@@ -90,21 +95,17 @@ def newton_solve_teom(
         if start == 0 and init is not None:
             x0 = np.array([math.log(math.ldexp(init[key], k)) for key in free], dtype=float)
         else:
-            if rng is None:
-                rng = np.random.default_rng(seed)
-                anchor = float(np.mean([math.log(v) for v in fixed.values()])) if fixed else 0.0
+            rng = rng or np.random.default_rng(seed)
             x0 = anchor + rng.uniform(-0.3, 0.3, size=len(free))
-        x, worst, iterations = _newton_run(residual, jacobian, x0, tol)
-        # np.exp, as the residual that judged x reads it
-        lengths = {**fixed, **dict(zip(free, np.exp(x).tolist()))}
-        converged = math.ldexp(worst, _unit_scaled(lengths)[1]) < tol
+        x, worst, iterations, converged = _newton_run(residual, jacobian, x0, tol, exponent)
         if best is None or converged or worst < best[1]:
-            best = (lengths, worst, iterations, converged, start, _on_box(x, free_scale=False))
+            best = (x, worst, iterations, converged, start)
         if converged:
             break
-    lengths, worst, iterations, converged, start, on_box = best
-    lengths = {**boundary.lengths, **{key: math.ldexp(lengths[key], -k) for key in free}}
-    return SearchResult(Setting(lengths), math.ldexp(worst, -k), iterations, converged, start, on_box)
+    x, worst, iterations, converged, start = best
+    # np.exp, as the residual that judged x reads it
+    lengths = {**boundary.lengths, **{key: math.ldexp(ell, -k) for key, ell in zip(free, np.exp(x).tolist())}}
+    return SearchResult(Setting(lengths), math.ldexp(worst, -k), iterations, converged, start, _on_box(x, False))
 
 
 def _to_box(x):
@@ -119,15 +120,18 @@ def _on_box(x, free_scale):
     return bool(low and high if free_scale else low or high)
 
 
-def _newton_run(residual, jacobian, x, tol):
-    """One damped Newton descent; returns (x, max_abs_residual, iterations).
-    Each damped trial is projected onto the box, so every iterate stays in it."""
+def _newton_run(residual, jacobian, x, tol, exponent):
+    """One damped Newton descent; returns (x, max_abs_residual, iterations, converged),
+    and stops once converged: max_abs_residual * 2^exponent(x) < tol.  Each damped
+    trial is projected onto the box, so every iterate stays in it."""
     if not np.array_equal(_to_box(x), x):
         raise BadParams("initial free lengths must lie within [1e-6, 1e3]")
     res = residual(x)
-    iterations = 0
-    # written as `not ... < tol` so that a NaN residual keeps iterating
-    while not np.max(np.abs(res), initial=0.0) < tol and iterations < MAX_NEWTON_ITER and x.size:
+    for iterations in range(MAX_NEWTON_ITER + 1):
+        worst = float(np.max(np.abs(res), initial=0.0))
+        converged = math.ldexp(worst, exponent(x)) < tol  # a NaN residual is not
+        if converged or iterations == MAX_NEWTON_ITER or not x.size:
+            break
         jac = jacobian(x)
         try:  # numpy refuses a singular or a non-square system alike
             step = np.linalg.solve(jac, -res)
@@ -140,16 +144,15 @@ def _newton_run(residual, jacobian, x, tol):
         if biggest > MAX_LOG_STEP:
             step = step * (MAX_LOG_STEP / biggest)
         norm0 = float(np.linalg.norm(res))
-        iterations += 1
         for k in range(MAX_DAMPINGS):
             trial = _to_box(x + 0.5**k * step)
             trial_res = residual(trial)
             if float(np.linalg.norm(trial_res)) < norm0:
                 x, res = trial, trial_res
                 break
-        else:
-            break
-    return x, float(np.max(np.abs(res), initial=0.0)), iterations
+        else:  # no damped trial descends: the step counts, and the run ends at x
+            return x, worst, iterations + 1, converged
+    return x, worst, iterations, converged
 
 
 def extremize_action(

@@ -100,6 +100,45 @@ def test_every_definition_is_referenced():
     assert dead_definitions(modules, conftest, tests, perfbench) == []
 
 
+def unread_members(package, readers):
+    """Methods and properties, as ``file:Class.name``, of the classes the
+    package modules define (``package`` maps file names to sources) that no
+    source in ``readers`` reads as an attribute; dunders are read by Python."""
+    read = {
+        node.attr for source in readers for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute)
+    }
+    return [
+        f"{name}:{cls.name}.{member.name}"
+        for name, source in sorted(package.items())
+        for cls in ast.parse(source).body if isinstance(cls, ast.ClassDef)
+        for member in cls.body
+        if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (member.name.startswith("__") and member.name.endswith("__"))
+        and member.name not in read
+    ]
+
+
+def test_finds_an_unread_member():
+    package = {
+        "graph.py": (
+            "class G:\n    def __len__(self):\n        return 0\n\n"
+            "    @property\n    def size(self):\n        return 0\n\n"
+            "    def used(self):\n        return self.size\n\n    def gone(self):\n        return 1\n"
+        )
+    }
+    readers = [*package.values(), "gone = 1\nprint(gone)\n", "def f(g):\n    return g.used()\n"]
+    assert unread_members(package, readers) == ["graph.py:G.gone"]
+
+
+def test_every_member_is_read():
+    """A method or property of a class in src/ is read as an attribute by a
+    module of src/ or perfbench/; one that only tests read has no caller."""
+    package = ROOT / "src" / "graphgrav"
+    modules = {p.name: p.read_text() for p in package.glob("*.py")}
+    perfbench = [p.read_text() for p in (ROOT / "perfbench").rglob("*.py")]
+    assert unread_members(modules, [*modules.values(), *perfbench]) == []
+
+
 def unread_exports(init_source, modules, outside):
     """Functions that ``init_source`` imports from a package module and that
     no other package module and no source in ``outside`` reads, in export

@@ -237,6 +237,20 @@ class TestNewton:
             converged += res.converged
         assert converged == 100
 
+    @pytest.mark.parametrize("seed, iterations", [(83, 7), (393, 6)])
+    def test_run_goes_on_until_its_verdict_passes(self, seed, iterations):
+        # the last start's residual falls below tol at the boundary's power of
+        # two one step before it does at the lengths' own, one power of two
+        # higher, which verify_solution reads
+        g = gen_tree(2, 3)
+        interior = interior_edges(g)
+        rng = random.Random(seed)
+        lo, hi = math.log(0.05), math.log(20.0)
+        boundary = {key: math.exp(rng.uniform(lo, hi)) for key in g.edges if key not in interior}
+        res = newton_solve_teom(g, Setting(boundary), tol=1e-7, restarts=2, seed=0)
+        assert (res.converged, res.iterations, res.restarts_used) == (True, iterations, 2)
+        assert verify_solution(g, res.setting, tol=1e-7).is_solution
+
     def test_missing_boundary_rejected(self):
         g = gen_tree(2, 2)
         with pytest.raises(BadParams):
@@ -274,11 +288,23 @@ class TestNewton:
         def jacobian(x):
             return np.array([[1.0, 1.0], [2.0, 2.0]])
 
-        x, worst, iterations = _newton_run(residual, jacobian, np.zeros(2), 1e-12)
+        x, worst, iterations, converged = _newton_run(residual, jacobian, np.zeros(2), 1e-12, lambda x: 0)
         assert x == pytest.approx([0.3, 0.3])
         assert worst == pytest.approx(0.4)
-        assert worst > 1e-12
+        assert not converged
         assert iterations == 2
+
+    def test_run_stops_on_the_residual_read_at_its_exponent(self):
+        # r(x) = x^3 from x = 1/2: each step multiplies x by 2/3, so after 4
+        # steps |r| = (1/8)(8/27)^4 = 9.6e-4 < 1e-3, but read one power of two
+        # up it is 1.9e-3, and only a fifth step brings 2|r| below 1e-3
+        def run(exponent):
+            return _newton_run(lambda x: x**3, lambda x: np.diag(3.0 * x * x), np.array([0.5]), 1e-3, exponent)
+
+        _, worst, iterations, converged = run(lambda x: 0)
+        assert (iterations, converged) == (4, True) and 2.0 * worst > 1e-3
+        _, worst, iterations, converged = run(lambda x: 1)
+        assert (iterations, converged) == (5, True) and 2.0 * worst < 1e-3
 
     @pytest.mark.parametrize("m", [9, -30, 500])
     @pytest.mark.parametrize("with_init", [True, False], ids=["init", "random-starts"])
@@ -340,7 +366,7 @@ class TestNewton:
         monkeypatch.setattr(graphgrav.search, "_newton_run", recording)
         res = newton_solve_teom(g, boundary, restarts=3, seed=1)
         assert not res.converged and len(runs) == 4
-        worst = [w for _, w, _ in runs]
+        worst = [w for _, w, _, _ in runs]
         kept = worst.index(min(worst))
         assert kept != 3
         assert res.restarts_used == kept
@@ -375,9 +401,9 @@ class TestNewton:
         # the root of r(x) = x - x* lies below the floor: the iterates walk down
         # by the trust region and stop on the floor itself
         target = LOG_LENGTH_LO - 1.0
-        x, worst, iterations = _newton_run(
-            lambda x: x - target, lambda x: np.eye(1), np.zeros(1), 1e-12)
-        assert x[0] == LOG_LENGTH_LO and worst == 1.0
+        x, worst, iterations, converged = _newton_run(
+            lambda x: x - target, lambda x: np.eye(1), np.zeros(1), 1e-12, lambda x: 0)
+        assert x[0] == LOG_LENGTH_LO and worst == 1.0 and not converged
         assert iterations == math.ceil(-LOG_LENGTH_LO / MAX_LOG_STEP) + 1
 
     @pytest.mark.parametrize("init", [True, False], ids=["init", "random-starts"])
