@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from .curvature import edge_curvatures, kappa_tree_closed
 from .dynamics import _require_tree
 from .errors import NonUniqueInwardEdge, NotHexRegion
-from .graph import GeodesicTable, Region, WeightedGraph, sigma_edges
+from .graph import GeodesicTable, Region, WeightedGraph, _require_table, sigma_edges
 
 
 @dataclass(frozen=True)
@@ -26,8 +26,10 @@ class ActionReport:
 
 
 def action_plain(g: WeightedGraph, geo: GeodesicTable, edge_set=None) -> ActionReport:
-    """Sum of limit curvatures over ``edge_set`` (default: all edges)."""
-    per_edge = edge_curvatures(g, geo, edge_set)
+    """Sum of limit curvatures over ``edge_set`` (default: all edges); ``geo``
+    must be the table of ``g`` (BadParams)."""
+    _require_table(g, geo)
+    per_edge = edge_curvatures(geo, edge_set)
     return ActionReport(
         total=sum(per_edge.values()),
         per_edge=per_edge,
@@ -36,7 +38,7 @@ def action_plain(g: WeightedGraph, geo: GeodesicTable, edge_set=None) -> ActionR
     )
 
 
-def _closed_form_parts(g, geo, region):
+def _closed_form_parts(geo, region):
     """The closed-form curvature of every edge of E(Sigma), the interior
     vertex sum of 2 - c^2/d, and c^2/d of each boundary vertex in a fixed
     order; raises NonUniqueInwardEdge if a boundary vertex has no edge into
@@ -44,12 +46,12 @@ def _closed_form_parts(g, geo, region):
     verts = region.vertices
     boundary = []
     for i in sorted(region.boundary_vertices):
-        inward = sum(j in verts for j in g.neighbors(i))
+        inward = sum(j in verts for j in geo.graph.neighbors(i))
         if inward != 1:
             raise NonUniqueInwardEdge(f"boundary vertex {i!r} has {inward} edges into the region")
         c, d, _ = geo.walk(i)
         boundary.append(c * c / d)
-    per_edge = {(u, v): kappa_tree_closed(g, geo, u, v) for u, v in sigma_edges(g, region)}
+    per_edge = {(u, v): kappa_tree_closed(geo, u, v) for u, v in sigma_edges(geo.graph, region)}
     interior = 0.0
     for i in sorted(region.interior):
         c, d, _ = geo.walk(i)
@@ -66,8 +68,7 @@ def action_ghy(g: WeightedGraph, region: Region) -> ActionReport:
     region.  The lengths of edges leaving it enter through the boundary c, d.
     """
     _require_tree(g)
-    geo = GeodesicTable(g)
-    per_edge, total, boundary = _closed_form_parts(g, geo, region)
+    per_edge, total, boundary = _closed_form_parts(GeodesicTable(g), region)
     for ratio in boundary:
         total -= ratio
     return ActionReport(
@@ -83,7 +84,7 @@ def action_region_plain(g: WeightedGraph, region: Region) -> ActionReport:
     curvatures, on a tree whose boundary vertices each have a unique edge
     into the region."""
     _require_tree(g)
-    per_edge, _, _ = _closed_form_parts(g, GeodesicTable(g), region)
+    per_edge, _, _ = _closed_form_parts(GeodesicTable(g), region)
     return ActionReport(
         total=sum(per_edge.values()),
         per_edge=per_edge,
@@ -98,9 +99,11 @@ def tree_action_hex(g: WeightedGraph, geo: GeodesicTable, region: Region) -> Act
 
     ``closed_form`` carries the vertex-sum identity
     sum_interior (2 - c^2/d) - sum_boundary 1/3, which matches ``total``
-    whenever the boundary-incident lengths are constant."""
+    whenever the boundary-incident lengths are constant.  ``geo`` must be
+    the table of ``g`` (BadParams)."""
+    _require_table(g, geo)
     _require_hex_region(g, region)
-    per_edge, identity, boundary = _closed_form_parts(g, geo, region)
+    per_edge, identity, boundary = _closed_form_parts(geo, region)
     identity -= len(boundary) / 3.0
     return ActionReport(
         total=sum(per_edge.values()),
@@ -122,7 +125,7 @@ def bound_upper_global(g: WeightedGraph) -> float:
     return 2.0 * g.num_edges
 
 
-def ratio_bounds(g: WeightedGraph, geo: GeodesicTable, i):
+def ratio_bounds(geo: GeodesicTable, i):
     """The ratio c_i^2/d_i at vertex i, and whether 1 < c_i^2/d_i <= deg(i).
 
     Degree-1 vertices sit exactly at the lower end, so the strict bound is
@@ -131,6 +134,6 @@ def ratio_bounds(g: WeightedGraph, geo: GeodesicTable, i):
     """
     c, d, _ = geo.walk(i)
     ratio = c * c / d
-    deg = g.degree(i)
+    deg = geo.graph.degree(i)
     lower_ok = ratio > 1.0 if deg >= 2 else abs(ratio - 1.0) < 1e-12
     return ratio, lower_ok and ratio <= deg + 1e-9

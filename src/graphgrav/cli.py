@@ -123,7 +123,7 @@ def _load_inputs(args):
     return inp
 
 
-def cmd_gen(args, inp):
+def cmd_gen(args, _inp):
     setting = None
     region = None
     if args.family == "tree":
@@ -164,10 +164,10 @@ def cmd_curvature(args, inp):
     g = inp["g"]
     geo = GeodesicTable(g)
     if args.t is not None:
-        per_edge = {(u, v): kappa_t(g, geo, u, v, args.t) for u, v in g.edges}
+        per_edge = {(u, v): kappa_t(geo, u, v, args.t) for u, v in g.edges}
         mode = {"t": args.t}
     else:
-        per_edge = edge_curvatures(g, geo)
+        per_edge = edge_curvatures(geo)
         mode = {"t": "limit"}
     doc = {**mode, "edges": _edge_list(per_edge, "kappa"), "total": sum(per_edge.values())}
     _emit(doc, args.out)
@@ -248,7 +248,7 @@ def cmd_bounds(args, inp):
     ratios = []
     ratios_ok = True
     for v in g.vertices:
-        ratio, ok = ratio_bounds(g, geo, v)
+        ratio, ok = ratio_bounds(geo, v)
         ratios_ok &= ok
         ratios.append({"vertex": v, "ratio": ratio, "degree": g.degree(v), "ok": ok})
     doc = {
@@ -261,7 +261,7 @@ def cmd_bounds(args, inp):
     return EXIT_OK if doc["bound_holds"] and ratios_ok else EXIT_SEMANTIC
 
 
-def cmd_reproduce(args, inp):
+def cmd_reproduce(args, _inp):
     rows = repro.run_all()
     width = max(len(r.name) for r in rows)
     all_ok = True

@@ -11,7 +11,7 @@ than taking 1 - W/P, which stays accurate when t is far below the edge scale.
 from __future__ import annotations
 
 from .errors import NoConvergence
-from .graph import GeodesicTable, WeightedGraph, _require_edges, edge_key
+from .graph import GeodesicTable, _require_edges, edge_key
 from .transport import neighbor_distribution, wasserstein
 
 LIMIT_TOL = 1e-10
@@ -19,20 +19,20 @@ INITIAL_T = 0.25
 MAX_HALVINGS = 60
 
 
-def kappa_t(g: WeightedGraph, geo: GeodesicTable, i, j, t: float) -> float:
-    """1 - W(t)/P for the edge between i and j."""
-    _require_edges(g, [edge_key(i, j)])
-    mu = neighbor_distribution(g, geo, i, t)
-    nu = neighbor_distribution(g, geo, j, t)
+def kappa_t(geo: GeodesicTable, i, j, t: float) -> float:
+    """1 - W(t)/P for the edge between i and j of ``geo.graph``."""
+    _require_edges(geo.graph, [edge_key(i, j)])
+    mu = neighbor_distribution(geo, i, t)
+    nu = neighbor_distribution(geo, j, t)
     p = geo.dist(i, j)
-    plan = wasserstein(g, geo, mu, nu)
+    plan = wasserstein(geo.graph, geo, mu, nu)
     acc = 0.0
     for cell, f in plan.flows.items():
         acc += f * (p - plan.unit_costs[cell])
     return acc / p
 
 
-def kappa(g: WeightedGraph, geo: GeodesicTable, i, j) -> float:
+def kappa(geo: GeodesicTable, i, j) -> float:
     """Limit of kappa_t(t)/t as t -> 0: `kappa_tree_closed`, with no solve,
     where d(a, b) = d(a, i) + d(i, j) + d(j, b) for every other neighbour a of
     i and b of j (a shared neighbour c fails at d(c, c) = 0), else the halving
@@ -42,17 +42,17 @@ def kappa(g: WeightedGraph, geo: GeodesicTable, i, j) -> float:
     near_j = [(b, pb) for b, pb in geo.walk(j)[2] if b != i]
     if all(geo.dist(a, b) >= pa + p + pb - 1e-12 * p
            for a, pa in geo.walk(i)[2] if a != j for b, pb in near_j):
-        return kappa_tree_closed(g, geo, i, j)
-    return _kappa_transport(g, geo, i, j)
+        return kappa_tree_closed(geo, i, j)
+    return _kappa_transport(geo, i, j)
 
 
-def _kappa_transport(g: WeightedGraph, geo: GeodesicTable, i, j) -> float:
+def _kappa_transport(geo: GeodesicTable, i, j) -> float:
     """Limit of kappa_t(t)/t as t -> 0, found by halving from t = 1/4."""
     t = INITIAL_T
-    prev = kappa_t(g, geo, i, j, t) / t
+    prev = kappa_t(geo, i, j, t) / t
     for _ in range(MAX_HALVINGS):
         t *= 0.5
-        cur = kappa_t(g, geo, i, j, t) / t
+        cur = kappa_t(geo, i, j, t) / t
         if abs(cur - prev) < LIMIT_TOL:
             return cur
         prev = cur
@@ -62,22 +62,22 @@ def _kappa_transport(g: WeightedGraph, geo: GeodesicTable, i, j) -> float:
     )
 
 
-def kappa_tree_closed(g: WeightedGraph, geo: GeodesicTable, i, j) -> float:
+def kappa_tree_closed(geo: GeodesicTable, i, j) -> float:
     """Closed-form curvature 2/P^2 (1/d_i + 1/d_j) - 1/P (c_i/d_i + c_j/d_j).
 
     Equals the transport limit on trees; on other graphs it is a lower bound
     for the transport value (the underlying plan is feasible, not optimal).
     """
-    _require_edges(g, [edge_key(i, j)])
+    _require_edges(geo.graph, [edge_key(i, j)])
     p = geo.dist(i, j)
     ci, di, _ = geo.walk(i)
     cj, dj, _ = geo.walk(j)
     return (2.0 / (p * p)) * (1.0 / di + 1.0 / dj) - (ci / di + cj / dj) / p
 
 
-def edge_curvatures(g: WeightedGraph, geo: GeodesicTable, edges=None) -> dict:
-    """Limit curvature for every edge in ``edges`` (default: all of E(g))."""
+def edge_curvatures(geo: GeodesicTable, edges=None) -> dict:
+    """Limit curvature for every edge in ``edges`` (default: all of E(geo.graph))."""
     out = {}
-    for u, v in (g.edges if edges is None else edges):
-        out[edge_key(u, v)] = kappa(g, geo, u, v)
+    for u, v in (geo.graph.edges if edges is None else edges):
+        out[edge_key(u, v)] = kappa(geo, u, v)
     return out

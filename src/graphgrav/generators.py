@@ -12,7 +12,13 @@ from .dynamics import Setting, t1_next_ratios
 from .errors import BadParams, TooLarge
 from .graph import Region, WeightedGraph, _require_edges, build_graph, edge_key, extract_region
 
-MAX_TREE_VERTICES = 100_000
+MAX_EDGES = 99_999
+
+
+def _require_size(edges: int):
+    """Raise TooLarge above MAX_EDGES edges: every generator asks first."""
+    if edges > MAX_EDGES:
+        raise TooLarge(f"generated graphs are capped at {MAX_EDGES} edges")
 
 
 def _tree_edges(q: int, depth: int) -> list:
@@ -20,12 +26,11 @@ def _tree_edges(q: int, depth: int) -> list:
     breadth-first order, k being the child's index among its parent's
     children.  Ids are breadth-first: the root "0" has children 1..q+1 and
     vertex v >= 1 has children q+2+(v-1)q .. q+1+vq.  Raises TooLarge above
-    MAX_TREE_VERTICES, before building anything."""
+    MAX_EDGES edges, checked ring by ring."""
     count, ring = 1, q + 1
     for _ in range(depth):
         count += ring
-        if count > MAX_TREE_VERTICES:
-            raise TooLarge(f"tree truncation is capped at {MAX_TREE_VERTICES} vertices")
+        _require_size(count - 1)
         ring *= q
     edges = [("0", str(w), w - 1) for w in range(1, q + 2)]
     for w in range(q + 2, count):
@@ -49,6 +54,7 @@ def gen_tree(q: int, depth: int) -> WeightedGraph:
 def gen_complete(n: int) -> WeightedGraph:
     if n < 3:
         raise BadParams("need n >= 3")
+    _require_size(n * (n - 1) // 2)
     verts = [str(k) for k in range(n)]
     edges = [(verts[a], verts[b], 1.0) for a in range(n) for b in range(a + 1, n)]
     return build_graph(verts, edges)
@@ -57,6 +63,7 @@ def gen_complete(n: int) -> WeightedGraph:
 def gen_cycle(n: int) -> WeightedGraph:
     if n < 3:
         raise BadParams("need n >= 3")
+    _require_size(n)
     verts = [str(k) for k in range(n)]
     edges = [(verts[k], verts[(k + 1) % n], 1.0) for k in range(n)]
     return build_graph(verts, edges)
@@ -279,8 +286,10 @@ def gen_hex_region(spec: HexRegionSpec):
     Returns (graph, region).  The region consists of the hexagon flower plus
     one pendant vertex per perimeter vertex; each pendant has exactly one
     edge into the region, matching the unique-inward-edge picture, and two
-    edges into the padding.  All lengths start at 1.
+    edges into the padding.  All lengths start at 1; the padded patch of
+    radius r has 9(r+2)^2 - 3(r+2) edges.
     """
+    _require_size(9 * (spec.radius + 2) ** 2 - 3 * (spec.radius + 2))
     faces = [
         (p, q)
         for p in range(-spec.radius, spec.radius + 1)

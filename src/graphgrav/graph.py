@@ -46,6 +46,12 @@ def _require_ids(ids):
             raise BadParams(f"vertex id {v!r} is not a string")
 
 
+def _require_table(g, geo):
+    """Raise BadParams unless ``geo`` is the geodesic table built for ``g``."""
+    if geo.graph is not g:
+        raise BadParams("the geodesic table was built for another graph")
+
+
 def _require_edges(g, keys):
     """Raise NotAnEdge unless every key in ``keys`` is an edge's `edge_key`."""
     for key in keys:
@@ -121,15 +127,16 @@ def build_graph(vertex_ids, weighted_edges):
     """Validate and build a WeightedGraph.
 
     ``weighted_edges`` is an iterable of (u, v, length) triples.  Raises
-    BadParams on no vertices or a vertex id that is not a string, else
-    SelfLoop, UnknownVertex, NonpositiveLength, DuplicateEdge or Disconnected.
+    BadParams on no vertices or an id that is not a string or listed twice,
+    else SelfLoop, UnknownVertex, NonpositiveLength, DuplicateEdge or Disconnected.
     """
     vertices = list(vertex_ids)
     if not vertices:
         raise BadParams("graph needs at least one vertex")
     _require_ids(vertices)
-    vertices = list(dict.fromkeys(vertices))
     vset = set(vertices)
+    if len(vset) < len(vertices):
+        raise BadParams("a vertex id is listed twice")
     lengths = {}
     adj = {v: [] for v in vertices}
     for u, v, ell in weighted_edges:
@@ -187,8 +194,8 @@ def _search(g: WeightedGraph, source, settled):
 
 
 class GeodesicTable:
-    """Everything that depends only on the lengths, computed on first use and
-    kept for the life of the table.  Build a new table after `with_lengths`.
+    """Everything that depends only on the lengths of ``graph``, computed on
+    first use and kept for the table's life; build a new one after `with_lengths`.
 
     - Distances come from one paused Dijkstra search per source: a query
       resumes it only until the target is settled, so it costs time in the
@@ -202,13 +209,13 @@ class GeodesicTable:
     """
 
     def __init__(self, g: WeightedGraph):
-        self._g = g
+        self.graph = g
         self._searches = {}  # source -> ({vertex: distance} settled so far, search)
         self._walks = {}  # vertex -> (sum 1/P, sum 1/P^2, ((neighbour, P), ...))
         self._blocks = {}  # (sources, sinks) -> (cost matrix, cells_by_cost of it)
 
     def dist(self, i, j):
-        if i not in self._g._adj or j not in self._g._adj:
+        if i not in self.graph._adj or j not in self.graph._adj:
             raise UnknownVertex(f"unknown vertex in pair ({i!r}, {j!r})")
         if i == j:
             return 0.0
@@ -224,7 +231,7 @@ class GeodesicTable:
         to w (at most the direct edge length)."""
         walk = self._walks.get(i)
         if walk is None:
-            pairs = tuple((w, self.dist(i, w)) for w in self._g.neighbors(i))
+            pairs = tuple((w, self.dist(i, w)) for w in self.graph.neighbors(i))
             inv = 0.0
             inv2 = 0.0
             for _, p in pairs:
@@ -244,7 +251,7 @@ class GeodesicTable:
 
     def _dijkstra(self, source):
         settled = {}
-        self._searches[source] = settled, _search(self._g, source, settled)
+        self._searches[source] = settled, _search(self.graph, source, settled)
         return self._searches[source]
 
 

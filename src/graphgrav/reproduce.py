@@ -170,7 +170,7 @@ def criterion_7() -> CriterionResult:
         geo = GeodesicTable(g)
         want = 2.0 * (1 - q) / (1 + q)
         worst = max(
-            abs(_kappa_transport(g, geo, u, v) - want) for u, v in interior_edges(g)
+            abs(_kappa_transport(geo, u, v) - want) for u, v in interior_edges(g)
         )
         ok &= worst < 1e-8
         details.append(f"T{q}: residual {rep.max_abs_residual:.1e}, kappa gap {worst:.1e}")
@@ -188,7 +188,7 @@ def criterion_8() -> CriterionResult:
     g2 = g.with_lengths(setting.lengths)
     geo = GeodesicTable(g2)
     want = geometric_half_half_stats(q, r)[0]
-    worst = max(abs(_kappa_transport(g2, geo, u, v) - want) for u, v in interior_edges(g2))
+    worst = max(abs(_kappa_transport(geo, u, v) - want) for u, v in interior_edges(g2))
     ok = rep.is_solution and worst < 1e-8
     return CriterionResult(
         8, "geometric half-half on T3 (r=2, depth 5): solution with curvature -0.8",
@@ -252,16 +252,16 @@ def criterion_11() -> CriterionResult:
         edges = list(g.edges)
         u, v = edges[rng.randrange(len(edges))]
         t = rng.uniform(0.1, 0.9)
-        mu = neighbor_distribution(g, geo, u, t)
-        nu = neighbor_distribution(g, geo, v, t)
+        mu = neighbor_distribution(geo, u, t)
+        nu = neighbor_distribution(geo, v, t)
         # the optimality certificate of the solve wasserstein makes
-        _, _, supply, demand, cost, cells = _transport_problem(g, geo, mu, nu)
+        _, _, supply, demand, cost, cells = _transport_problem(geo, mu, nu)
         flow, pot_u, pot_v = _transportation_simplex(supply, demand, cost, cells)
         gap = _certificate_gap(supply, demand, cost, flow, pot_u, pot_v)
         worst_gap = max(worst_gap, gap)
         ok &= gap < 1e-8
         # concavity and the local upper bound at fixed t samples
-        k1, k2, k4 = (kappa_t(g, geo, u, v, tt) for tt in (0.1, 0.2, 0.4))
+        k1, k2, k4 = (kappa_t(geo, u, v, tt) for tt in (0.1, 0.2, 0.4))
         ok &= k2 >= (2.0 * k1 + k4) / 3.0 - 1e-9
         p = geo.dist(u, v)
         cu, du, _ = geo.walk(u)
@@ -269,7 +269,7 @@ def criterion_11() -> CriterionResult:
         for tt, kk in ((0.1, k1), (0.2, k2), (0.4, k4)):
             ok &= kk <= tt / p * (cu / du + cv / dv) + 1e-9
         for w in g.vertices:
-            ok &= ratio_bounds(g, geo, w)[1]
+            ok &= ratio_bounds(geo, w)[1]
         rep = action_plain(g, geo)
         ok &= rep.total <= rep.bound_upper + 1e-9
     return CriterionResult(
@@ -284,7 +284,7 @@ def criterion_12() -> CriterionResult:
     geo = GeodesicTable(g)
     edges = sigma_edges(g, region)
     worst_eq = max(
-        abs(_kappa_transport(g, geo, u, v) - kappa_tree_closed(g, geo, u, v)) for u, v in edges
+        abs(_kappa_transport(geo, u, v) - kappa_tree_closed(geo, u, v)) for u, v in edges
     )
     rep = tree_action_hex(g, geo, region)
     identity_gap = abs(rep.total - rep.closed_form)
@@ -296,7 +296,7 @@ def criterion_12() -> CriterionResult:
         g2 = g.with_lengths(lengths)
         geo2 = GeodesicTable(g2)
         s_t = tree_action_hex(g2, geo2, region).total
-        s_sigma = sum(_kappa_transport(g2, geo2, u, v) for u, v in edges)
+        s_sigma = sum(_kappa_transport(geo2, u, v) for u, v in edges)
         dominated &= s_t <= s_sigma + 1e-9
     ok = worst_eq < 1e-8 and identity_gap < 1e-9 and dominated
     return CriterionResult(

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadParams, UnbalancedMass, UnknownVertex
-from .graph import GeodesicTable, WeightedGraph
+from .errors import BadParams, UnbalancedMass
+from .graph import GeodesicTable, WeightedGraph, _require_table
 
 MAX_PIVOTS = 100000
 
@@ -65,7 +65,7 @@ class TransportPlan:
     cost: float
 
 
-def neighbor_distribution(g: WeightedGraph, geo: GeodesicTable, i, t: float) -> Distribution:
+def neighbor_distribution(geo: GeodesicTable, i, t: float) -> Distribution:
     """Lazy-walk distribution: keeps 1-t at i and spreads t over the neighbors
     proportionally to the inverse squared geodesic length."""
     if not 0.0 < t < 1.0:
@@ -84,9 +84,11 @@ def wasserstein(g: WeightedGraph, geo: GeodesicTable, mu: Distribution, nu: Dist
     a least-cost basis (cheapest cells first, so mass shared by mu and nu
     mostly stays put); Bland's rule resolves degenerate pivots so
     termination is guaranteed.  The cost matrix and its cell order come
-    from ``geo.cost_block``, built once per pair of supports.
+    from ``geo.cost_block``, built once per pair of supports.  Raises
+    BadParams if ``geo`` is not the table of ``g``.
     """
-    sources, sinks, supply, demand, cost, cells = _transport_problem(g, geo, mu, nu)
+    _require_table(g, geo)
+    sources, sinks, supply, demand, cost, cells = _transport_problem(geo, mu, nu)
     flow, _, _ = _transportation_simplex(supply, demand, cost, cells)
     flows = {}
     unit_costs = {}
@@ -106,14 +108,12 @@ def _require_unit_total(total):
         raise UnbalancedMass(f"masses sum to {total}, expected 1")
 
 
-def _transport_problem(g, geo, mu, nu):
-    """The problem ``wasserstein`` solves: the supports of mu and nu, checked
-    against g, their masses, each total checked again (a distribution built
-    around ``__post_init__`` may break the rule), the cost block and its cells."""
+def _transport_problem(geo, mu, nu):
+    """The problem ``wasserstein`` solves: the supports of mu and nu, their
+    masses, each total checked again (a distribution built around
+    ``__post_init__`` may break the rule), the cost block and its cells; the
+    block raises UnknownVertex for a support vertex outside ``geo.graph``."""
     sources, sinks = mu.support, nu.support
-    for v in (*sources, *sinks):
-        if v not in g:
-            raise UnknownVertex(f"distribution has mass at unknown vertex {v!r}")
     _require_unit_total(sum(mu.mass.values()))
     _require_unit_total(sum(nu.mass.values()))
     cost, cells = geo.cost_block(sources, sinks)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from graphgrav import Distribution, GeodesicTable, GraphGravError, WeightedGraph, build_graph, edge_key
 from graphgrav.errors import UnbalancedMass
+from graphgrav.graph import _require_table
 from graphgrav.transport import _transport_problem
 
 SSP_TOL = 1e-13
@@ -84,9 +85,10 @@ def nogo_sum(g, region, setting):
 def wasserstein_oracle(g: WeightedGraph, geo: GeodesicTable, mu: Distribution, nu: Distribution) -> float:
     """Same optimum as :func:`wasserstein`, via successive shortest paths on
     the bipartite support graph with costs from ``geo.dist``.  It shares
-    only the input checks of ``_transport_problem``; kept structurally
-    independent for testing."""
-    sources, sinks, supply, demand, _, _ = _transport_problem(g, geo, mu, nu)
+    only the input checks of ``wasserstein``; kept structurally independent
+    for testing."""
+    _require_table(g, geo)
+    sources, sinks, supply, demand, _, _ = _transport_problem(geo, mu, nu)
     n_src = len(sources)
     arcs = []
     for a, u in enumerate(sources):

@@ -29,6 +29,7 @@ from graphgrav import (
 )
 from graphgrav.curvature import _kappa_transport
 from graphgrav.errors import (
+    BadParams,
     NonUniqueInwardEdge,
     NotAnEdge,
     NotATree,
@@ -36,6 +37,14 @@ from graphgrav.errors import (
 )
 
 from conftest import connected_graphs, random_connected_graph
+
+# the whole length box, and inside it a corner, a narrow band and unit lengths
+LENGTH_BOX = st.one_of(
+    connected_graphs(1e-6, 1e3),
+    connected_graphs(1e-6, 1e-5),
+    connected_graphs(0.5, 2.0),
+    connected_graphs(1.0, 1.0),
+)
 
 
 def ball(g, root, radius):
@@ -70,6 +79,13 @@ class TestPlainAction:
             {("0", "1"): 1.0, ("1", "2"): 1.0, ("0", "2"): 2.0}
         )
         assert action_plain(g, GeodesicTable(g)).total == pytest.approx(3.6)
+
+    def test_refuses_a_table_of_another_graph(self):
+        # read through the unit triangle's table, the 1:1:2 triangle gave 4.5
+        g = gen_complete(3)
+        g2 = g.with_lengths({("0", "1"): 1.0, ("1", "2"): 1.0, ("0", "2"): 2.0})
+        with pytest.raises(BadParams, match="built for another graph"):
+            action_plain(g2, GeodesicTable(g))
 
     def test_square_minimum(self):
         s = 1.0 + math.sqrt(2.0)
@@ -108,6 +124,28 @@ class TestPlainAction:
         renamed = build_graph(names, [(name[u], name[v], ell) for (u, v), ell in g.lengths().items()])
         for h in (scaled, renamed):
             assert abs(action_plain(h, GeodesicTable(h)).total - s) <= 1e-9 * max(1.0, abs(s))
+
+    @given(LENGTH_BOX, st.integers(-7, 7))
+    @settings(max_examples=150, deadline=None)
+    def test_power_of_two_scale_is_exact_over_the_length_box(self, g, e):
+        # a factor 2^e moves no mantissa, so every step of kappa scales
+        # exactly; a general factor does not, and moves kappa by up to 2e-7
+        rep = action_plain(g, GeodesicTable(g))
+        scaled = g.with_lengths({key: math.ldexp(ell, e) for key, ell in g.lengths().items()})
+        again = action_plain(scaled, GeodesicTable(scaled))
+        assert again.per_edge == rep.per_edge
+        assert again.total == rep.total
+
+    @given(LENGTH_BOX)
+    @settings(max_examples=150, deadline=None)
+    def test_bounds_hold_over_the_length_box(self, g):
+        # S <= 2|E| within the 1e-9 that `bounds` allows: a lone edge reads
+        # kappa = 2 up to an ulp
+        geo = GeodesicTable(g)
+        rep = action_plain(g, geo)
+        assert rep.total <= rep.bound_upper + 1e-9
+        assert rep.bound_upper == 2 * g.num_edges
+        assert all(ratio_bounds(geo, v)[1] for v in g.vertices)
 
 
 class TestGhy:
@@ -198,7 +236,7 @@ class TestRegionPlain:
             g = g.with_lengths(lengths)
             region = extract_region(g, ball(g, "0", depth - 1))
             geo = GeodesicTable(g)
-            direct = sum(_kappa_transport(g, geo, u, v) for u, v in sigma_edges(g, region))
+            direct = sum(_kappa_transport(geo, u, v) for u, v in sigma_edges(g, region))
             closed = action_region_plain(g, region).total
             assert closed == pytest.approx(direct, abs=1e-9)
 
@@ -314,13 +352,19 @@ class TestHexTreeAction:
         rep = tree_action_hex(g2, GeodesicTable(g2), region)
         assert rep.closed_form == pytest.approx(rep.total, abs=1e-9)
 
+    def test_refuses_a_table_of_another_graph(self):
+        g, region = gen_hex_region(HexRegionSpec(1))
+        g2 = g.with_lengths({key: 2.0 for key in g.lengths()})
+        with pytest.raises(BadParams, match="built for another graph"):
+            tree_action_hex(g2, GeodesicTable(g), region)
+
     def test_lower_bounds_plain_action(self, rng):
         g, region = gen_hex_region(HexRegionSpec(1))
         lengths = {key: rng.uniform(0.5, 2.0) for key in g.lengths()}
         g2 = g.with_lengths(lengths)
         geo = GeodesicTable(g2)
         s_t = tree_action_hex(g2, geo, region).total
-        s_plain = sum(_kappa_transport(g2, geo, u, v) for u, v in sigma_edges(g2, region))
+        s_plain = sum(_kappa_transport(geo, u, v) for u, v in sigma_edges(g2, region))
         assert s_t <= s_plain + 1e-9
 
     def test_rejects_wrong_degree(self):
@@ -409,7 +453,7 @@ class TestRatioBounds:
     def test_constant_attains_degree(self):
         g = gen_complete(4)
         geo = GeodesicTable(g)
-        ratio, ok = ratio_bounds(g, geo, "0")
+        ratio, ok = ratio_bounds(geo, "0")
         assert ratio == pytest.approx(g.degree("0"))
         assert ok
 
@@ -419,18 +463,18 @@ class TestRatioBounds:
         g2 = g.with_lengths(matching_setting(g, m, 1e-4).lengths)
         geo = GeodesicTable(g2)
         for v in g2.vertices:
-            ratio, ok = ratio_bounds(g2, geo, v)
+            ratio, ok = ratio_bounds(geo, v)
             assert ratio == pytest.approx(1.0, abs=1e-3)
             assert ok
 
     def test_two_lengths(self):
         g = build_graph(["a", "b", "c"], [("a", "b", 1.0), ("b", "c", 2.0)])
         geo = GeodesicTable(g)
-        ratio, ok = ratio_bounds(g, geo, "b")
+        ratio, ok = ratio_bounds(geo, "b")
         assert ratio == pytest.approx(9.0 / 5.0)
         assert ok
         # a leaf sits exactly at the lower end, which it may
-        assert ratio_bounds(g, geo, "a") == (1.0, True)
+        assert ratio_bounds(geo, "a") == (1.0, True)
 
 
 def one_sided_cost(geo, i, j, t):
@@ -485,8 +529,8 @@ class TestPartialCosts:
                 w = wasserstein(
                     g2,
                     geo,
-                    neighbor_distribution(g2, geo, u, t),
-                    neighbor_distribution(g2, geo, v, t),
+                    neighbor_distribution(geo, u, t),
+                    neighbor_distribution(geo, v, t),
                 ).cost
                 paired = one_sided_cost(geo, u, v, t) + one_sided_cost(geo, v, u, t)
                 assert 2.0 * w >= paired - 1e-12

@@ -460,6 +460,14 @@ class TestExitCodes:
         assert main(["solve-eom", graph, boundary]) == 3
         assert capsys.readouterr().err.count("NotAnEdge") == 3
 
+    def test_graph_listing_a_vertex_twice_is_an_invariant_violation(self, tmp_path, capsys):
+        graph = {"vertices": ["a", "a", "b"], "edges": [{"u": "a", "v": "b", "len": 1.0}]}
+        (tmp_path / "g.json").write_text(json.dumps(graph))
+        assert main(["curvature", str(tmp_path / "g.json")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "invariant violation: BadParams: a vertex id is listed twice\n"
+
     @pytest.mark.parametrize("reverse", [False, True], ids=["same-order", "reversed"])
     def test_setting_naming_an_edge_twice_is_an_invariant_violation(self, tmp_path, capsys, reverse):
         def write(name, rows):

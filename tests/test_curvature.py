@@ -29,50 +29,50 @@ from conftest import connected_graphs, random_connected_graph
 class TestKappaT:
     def test_line_value(self, line3, line3_geo):
         # W = 1 - t on the unit path, so kappa_t = t
-        assert kappa_t(line3, line3_geo, "a", "b", 0.3) == pytest.approx(0.3)
+        assert kappa_t(line3_geo, "a", "b", 0.3) == pytest.approx(0.3)
 
     def test_linear_regime_near_zero(self, line3, line3_geo):
         t = 1e-6
-        limit = kappa(line3, line3_geo, "a", "b")
-        assert kappa_t(line3, line3_geo, "a", "b", t) == pytest.approx(t * limit, rel=1e-9)
+        limit = kappa(line3_geo, "a", "b")
+        assert kappa_t(line3_geo, "a", "b", t) == pytest.approx(t * limit, rel=1e-9)
 
     def test_triangle_upper_bound(self):
         g = gen_complete(3)
         geo = GeodesicTable(g)
-        val = kappa_t(g, geo, "0", "1", 0.3)
+        val = kappa_t(geo, "0", "1", 0.3)
         c0, d0 = geo.walk("0")[:2]
         c1, d1 = geo.walk("1")[:2]
         assert val <= 0.3 / geo.dist("0", "1") * (c0 / d0 + c1 / d1) + 1e-12
 
     def test_not_an_edge(self, line3, line3_geo):
         with pytest.raises(NotAnEdge):
-            kappa_t(line3, line3_geo, "a", "c", 0.3)
+            kappa_t(line3_geo, "a", "c", 0.3)
 
     def test_t_out_of_range(self, line3, line3_geo):
         with pytest.raises(BadParams, match=r"t must lie in \(0, 1\), got 1.0"):
-            kappa_t(line3, line3_geo, "a", "b", 1.0)
+            kappa_t(line3_geo, "a", "b", 1.0)
 
     def test_limit_reports_no_convergence(self, line3, line3_geo, monkeypatch):
         from graphgrav.errors import NoConvergence
 
         monkeypatch.setattr(curvature, "MAX_HALVINGS", 0)
         with pytest.raises(NoConvergence):
-            _kappa_transport(line3, line3_geo, "a", "b")
+            _kappa_transport(line3_geo, "a", "b")
 
 
 class TestKappaLimit:
     def test_short_path(self, line3, line3_geo):
-        assert kappa(line3, line3_geo, "a", "b") == pytest.approx(1.0)
+        assert kappa(line3_geo, "a", "b") == pytest.approx(1.0)
 
     def test_tree_interior(self):
         g = gen_tree(3, 2)
         geo = GeodesicTable(g)
-        assert kappa(g, geo, "0", "1") == pytest.approx(-1.0)
+        assert kappa(geo, "0", "1") == pytest.approx(-1.0)
 
     def test_unit_triangle(self):
         g = gen_complete(3)
         geo = GeodesicTable(g)
-        assert kappa(g, geo, "0", "1") == pytest.approx(1.5)
+        assert kappa(geo, "0", "1") == pytest.approx(1.5)
 
     def test_concave_in_t(self, rng):
         for _ in range(15):
@@ -80,7 +80,7 @@ class TestKappaLimit:
             geo = GeodesicTable(g)
             edges = list(g.edges)
             u, v = edges[rng.randrange(len(edges))]
-            k1, k2, k4 = (kappa_t(g, geo, u, v, t) for t in (0.1, 0.2, 0.4))
+            k1, k2, k4 = (kappa_t(geo, u, v, t) for t in (0.1, 0.2, 0.4))
             assert k2 >= (2.0 * k1 + k4) / 3.0 - 1e-9
 
     @pytest.mark.parametrize("g", [gen_complete(4), gen_tree(2, 3)], ids=["K4", "tree"])
@@ -94,10 +94,10 @@ class TestKappaLimit:
         for u, v in g.edges:
             if len(g.neighbors(u)) == 1 or len(g.neighbors(v)) == 1:
                 continue
-            limit = _kappa_transport(g, geo, u, v)
+            limit = _kappa_transport(geo, u, v)
             for k in range(61):
                 t = 0.25 * 2.0**-k
-                assert kappa_t(g, geo, u, v, t) / t == pytest.approx(limit, rel=1e-10)
+                assert kappa_t(geo, u, v, t) / t == pytest.approx(limit, rel=1e-10)
 
     @given(connected_graphs())
     @settings(max_examples=60, deadline=None)
@@ -106,20 +106,20 @@ class TestKappaLimit:
         # curvature of an edge would depend on the order the edges are visited
         per_edge = action_plain(g, GeodesicTable(g)).per_edge
         for u, v in g.edges:
-            assert per_edge[(u, v)] == kappa(g, GeodesicTable(g), u, v)
-        assert per_edge == edge_curvatures(g, GeodesicTable(g), g.edges[::-1])
+            assert per_edge[(u, v)] == kappa(GeodesicTable(g), u, v)
+        assert per_edge == edge_curvatures(GeodesicTable(g), g.edges[::-1])
 
 
 class TestTreeClosedForm:
     def test_leaf_edge(self, line3, line3_geo):
-        assert kappa_tree_closed(line3, line3_geo, "a", "b") == pytest.approx(1.0)
+        assert kappa_tree_closed(line3_geo, "a", "b") == pytest.approx(1.0)
 
     @pytest.mark.parametrize("q", [1, 2, 3])
     def test_uniform_tree(self, q):
         g = gen_tree(q, 2)
         geo = GeodesicTable(g)
         # interior edge of the constant tree
-        assert kappa_tree_closed(g, geo, "0", "1") == pytest.approx(2.0 * (1 - q) / (1 + q))
+        assert kappa_tree_closed(geo, "0", "1") == pytest.approx(2.0 * (1 - q) / (1 + q))
 
     def test_matches_limit_on_random_trees(self, rng):
         for q, depth in ((1, 3), (2, 2), (3, 2)):
@@ -128,8 +128,8 @@ class TestTreeClosedForm:
             g = g.with_lengths(lengths)
             geo = GeodesicTable(g)
             for u, v in g.edges:
-                assert _kappa_transport(g, geo, u, v) == pytest.approx(
-                    kappa_tree_closed(g, geo, u, v), abs=1e-8
+                assert _kappa_transport(geo, u, v) == pytest.approx(
+                    kappa_tree_closed(geo, u, v), abs=1e-8
                 )
 
     def test_lower_bounds_kappa_on_hexagons(self, rng):
@@ -138,15 +138,15 @@ class TestTreeClosedForm:
         g2 = g.with_lengths(lengths)
         geo = GeodesicTable(g2)
         for u, v in sigma_edges(g2, region):
-            assert kappa_tree_closed(g2, geo, u, v) <= _kappa_transport(g2, geo, u, v) + 1e-9
+            assert kappa_tree_closed(geo, u, v) <= _kappa_transport(geo, u, v) + 1e-9
 
     def test_strong_boundary_equality(self):
         # constant lengths everywhere: the transport saturates the tree plan
         g, region = gen_hex_region(HexRegionSpec(1))
         geo = GeodesicTable(g)
         for u, v in sigma_edges(g, region):
-            assert _kappa_transport(g, geo, u, v) == pytest.approx(
-                kappa_tree_closed(g, geo, u, v), abs=1e-9
+            assert _kappa_transport(geo, u, v) == pytest.approx(
+                kappa_tree_closed(geo, u, v), abs=1e-9
             )
 
 
@@ -172,8 +172,8 @@ class TestDoubleStarDispatch:
         g = gen_cycle(4)
         geo = GeodesicTable(g)
         for u, v in g.edges:
-            assert kappa_tree_closed(g, geo, u, v) == pytest.approx(0.0, abs=1e-15)
-            assert kappa(g, geo, u, v) == pytest.approx(1.0, abs=1e-12)
+            assert kappa_tree_closed(geo, u, v) == pytest.approx(0.0, abs=1e-15)
+            assert kappa(geo, u, v) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("far", [3.0, 3.5, 5.0])
     def test_square_with_a_long_fourth_edge(self, far):
@@ -185,9 +185,9 @@ class TestDoubleStarDispatch:
         )
         for u, v in g.edges:
             geo = GeodesicTable(g)
-            got = kappa(g, geo, u, v)
+            got = kappa(geo, u, v)
             assert (not geo._blocks) == (far >= 3.5 and (u, v) == ("1", "2"))
-            assert got == pytest.approx(_kappa_transport(g, geo, u, v), abs=1e-10)
+            assert got == pytest.approx(_kappa_transport(geo, u, v), abs=1e-10)
 
     def test_non_edges_raise(self):
         # a-c share the neighbour b; a-d share none and fail the distance test
@@ -195,15 +195,15 @@ class TestDoubleStarDispatch:
         geo = GeodesicTable(g)
         for u, v in (("a", "c"), ("a", "d")):
             with pytest.raises(NotAnEdge):
-                kappa(g, geo, u, v)
+                kappa(geo, u, v)
 
     @given(connected_graphs(1e-3, 1e2))
     @settings(max_examples=150, deadline=None)
     def test_matches_the_halving_limit(self, g):
         geo = GeodesicTable(g)
         for u, v in g.edges:
-            want = _kappa_transport(g, geo, u, v)
-            assert abs(kappa(g, geo, u, v) - want) <= 1e-10 * max(1.0, abs(want))
+            want = _kappa_transport(geo, u, v)
+            assert abs(kappa(geo, u, v) - want) <= 1e-10 * max(1.0, abs(want))
 
     @given(connected_graphs())
     @settings(max_examples=150, deadline=None)
@@ -213,7 +213,7 @@ class TestDoubleStarDispatch:
         # in exact arithmetic; edges that would solve read None
         geo = GeodesicTable(g)
         with mock.patch.object(curvature, "_kappa_transport", return_value=None):
-            shortcut = {(u, v): kappa(g, geo, u, v) for u, v in g.edges}
+            shortcut = {(u, v): kappa(geo, u, v) for u, v in g.edges}
         for (u, v), got in shortcut.items():
             if got is not None:
                 want = closed_form_exact(geo, u, v)

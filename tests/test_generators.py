@@ -86,6 +86,14 @@ class TestCompleteAndCycle:
         with pytest.raises(BadParams):
             gen_cycle(2)
 
+    @pytest.mark.parametrize(
+        "make", [lambda: gen_complete(448), lambda: gen_cycle(100_000)], ids=["complete-448", "cycle-100000"]
+    )
+    def test_size_cap(self, make):
+        # 100 128 and 100 000 edges: one above the cap that trees have
+        with pytest.raises(TooLarge, match="capped at 99999 edges"):
+            make()
+
 
 class TestConstantSetting:
     def test_values(self):
@@ -201,6 +209,16 @@ class TestHexRegion:
         with pytest.raises(BadParams, match="radius must be >= 1"):
             HexRegionSpec(radius)
 
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    def test_size_formula(self, radius):
+        g, _ = gen_hex_region(HexRegionSpec(radius))
+        assert (len(g.vertices), g.num_edges) == (6 * (radius + 2) ** 2, 9 * (radius + 2) ** 2 - 3 * (radius + 2))
+
+    def test_size_cap(self):
+        # 9 * 106^2 - 3 * 106 = 100 806 edges, counted before the faces are laid out
+        with pytest.raises(TooLarge, match="capped at 99999 edges"):
+            gen_hex_region(HexRegionSpec(104))
+
     def test_single_hexagon(self):
         g, region = gen_hex_region(HexRegionSpec(1))
         assert len(region.interior) == 6
@@ -292,7 +310,7 @@ class TestHalfHalf:
         want, _ = geometric_half_half_stats(q, r)
         for u, v in g2.edges:
             if g2.degree(u) > 1 and g2.degree(v) > 1:
-                assert kappa_tree_closed(g2, geo, u, v) == pytest.approx(want, abs=1e-9)
+                assert kappa_tree_closed(geo, u, v) == pytest.approx(want, abs=1e-9)
 
     def test_rejects_constant_chain(self):
         with pytest.raises(BadParams, match="ratios must exceed 1, got 1.0"):

@@ -101,6 +101,10 @@ class TestBuildGraph:
         with pytest.raises(BadParams, match="graph needs at least one vertex"):
             build_graph([], [])
 
+    def test_rejects_a_vertex_listed_twice(self):
+        with pytest.raises(BadParams, match="a vertex id is listed twice"):
+            build_graph(["a", "a", "b"], [("a", "b", 1.0)])
+
     def test_neighbors_of_unknown_vertex(self, line3):
         with pytest.raises(UnknownVertex):
             line3.neighbors("z")
@@ -168,7 +172,7 @@ class TestStringOrder:
         geo = GeodesicTable(g)
         for v in g.vertices:
             assert g.neighbors(v) == tuple(sorted(g.neighbors(v)))
-            support = neighbor_distribution(g, geo, v, t).support
+            support = neighbor_distribution(geo, v, t).support
             assert support == tuple(sorted(support))
         rows = _edge_list(dict(reversed(g.lengths().items())), "len")
         assert [(row["u"], row["v"]) for row in rows] == list(g.edges)
@@ -326,7 +330,7 @@ class TestTableMemos:
                 mass[w] = t / (p * p) / inv2
             for _ in range(2):  # computed, then read from the memo
                 assert geo.walk(i)[:2] == (inv, inv2)
-                assert neighbor_distribution(g, geo, i, t).mass == mass
+                assert neighbor_distribution(geo, i, t).mass == mass
 
     def test_complete_graph_builds_one_cost_block(self, rng):
         # every edge of K_n has the same two supports, all n vertices

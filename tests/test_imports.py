@@ -209,3 +209,40 @@ def test_every_error_is_raised():
     package = ROOT / "src" / "graphgrav"
     raised = set().union(*(raised_names(p.read_text()) for p in package.glob("*.py")))
     assert [name for name in error_classes((package / "errors.py").read_text()) if name not in raised] == []
+
+
+def unread_parameters(source):
+    """Parameters, as ``function(name)``, that a function of ``source``,
+    closures included, never reads; a name that starts with ``_`` is unread
+    on purpose."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+            read = {
+                n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            unread += [
+                f"{node.name}({p.arg})" for p in params if p.arg not in read and not p.arg.startswith("_")
+            ]
+    return unread
+
+
+def test_finds_an_unread_parameter():
+    source = (
+        "def outer(a, b, _c, *args, d=1, **kw):\n"
+        "    def inner(x, y):\n        return a + x\n"
+        "    b = 2\n    return inner(1, d)\n"
+    )
+    assert unread_parameters(source) == ["outer(b)", "outer(args)", "outer(kw)", "inner(y)"]
+
+
+def test_every_parameter_is_read():
+    """A parameter of a function in src/ that the function never reads is
+    an input the caller must give for nothing; one kept for a fixed calling
+    convention, such as the CLI's ``args.func(args, inp)``, starts with ``_``."""
+    package = ROOT / "src" / "graphgrav"
+    unread = [f"{p.name}:{f}" for p in sorted(package.glob("*.py")) for f in unread_parameters(p.read_text())]
+    assert unread == []

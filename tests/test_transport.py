@@ -22,29 +22,29 @@ from conftest import _min_cost_flow, random_connected_graph, wasserstein_oracle
 
 class TestNeighborDistribution:
     def test_symmetric_split(self, line3, line3_geo):
-        mu = neighbor_distribution(line3, line3_geo, "b", 0.5)
+        mu = neighbor_distribution(line3_geo, "b", 0.5)
         assert mu.mass == pytest.approx({"b": 0.5, "a": 0.25, "c": 0.25})
 
     def test_leaf(self, line3, line3_geo):
-        mu = neighbor_distribution(line3, line3_geo, "a", 0.3)
+        mu = neighbor_distribution(line3_geo, "a", 0.3)
         assert mu.mass == pytest.approx({"a": 0.7, "b": 0.3})
 
     def test_uneven_lengths(self):
         g = build_graph(["a", "b", "c"], [("a", "b", 1.0), ("b", "c", 2.0)])
-        mu = neighbor_distribution(g, GeodesicTable(g), "b", 0.3)
+        mu = neighbor_distribution(GeodesicTable(g), "b", 0.3)
         assert mu.mass == pytest.approx({"b": 0.7, "a": 0.24, "c": 0.06})
 
     @pytest.mark.parametrize("t", [0.0, 1.0, -0.2, 1.5])
     def test_t_range(self, line3, line3_geo, t):
         with pytest.raises(BadParams, match=r"t must lie in \(0, 1\)"):
-            neighbor_distribution(line3, line3_geo, "b", t)
+            neighbor_distribution(line3_geo, "b", t)
 
     def test_sums_to_one(self, rng):
         for _ in range(20):
             g = random_connected_graph(rng, rng.randint(3, 8))
             geo = GeodesicTable(g)
             v = g.vertices[rng.randrange(len(g.vertices))]
-            mu = neighbor_distribution(g, geo, v, rng.uniform(0.01, 0.99))
+            mu = neighbor_distribution(geo, v, rng.uniform(0.01, 0.99))
             assert sum(mu.mass.values()) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -65,12 +65,12 @@ class TestWasserstein:
     def test_line_cost(self, line3, line3_geo):
         # mass 1-2t slides one step, t/2 slides two steps: cost 1-t for t<1/2
         for t in (0.1, 0.3, 0.45):
-            mu = neighbor_distribution(line3, line3_geo, "a", t)
-            nu = neighbor_distribution(line3, line3_geo, "b", t)
+            mu = neighbor_distribution(line3_geo, "a", t)
+            nu = neighbor_distribution(line3_geo, "b", t)
             assert wasserstein(line3, line3_geo, mu, nu).cost == pytest.approx(1.0 - t)
 
     def test_identical_distributions(self, line3, line3_geo):
-        mu = neighbor_distribution(line3, line3_geo, "b", 0.4)
+        mu = neighbor_distribution(line3_geo, "b", 0.4)
         assert wasserstein(line3, line3_geo, mu, mu).cost == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("solve", [wasserstein, wasserstein_oracle])
@@ -97,7 +97,7 @@ class TestWasserstein:
         mu = Distribution({"0": 0.5 + 0.9e-10, "1": 0.5})
         nu = Distribution({"1": 0.5 - 0.9e-10, "2": 0.5})
         assert wasserstein(g, geo, mu, nu).cost == pytest.approx(0.5)
-        _, _, supply, demand, cost, cells = _transport_problem(g, geo, mu, nu)
+        _, _, supply, demand, cost, cells = _transport_problem(geo, mu, nu)
         flow, pot_u, pot_v = _transportation_simplex(supply, demand, cost, cells)
         assert _certificate_gap(supply, demand, cost, flow, pot_u, pot_v) < 1e-8
 
@@ -117,6 +117,12 @@ class TestWasserstein:
         with pytest.raises(UnknownVertex):
             solve(line3, line3_geo, Distribution({"zz": 1.0}), Distribution({"a": 1.0}))
 
+    @pytest.mark.parametrize("solve", [wasserstein, wasserstein_oracle])
+    def test_refuses_a_table_of_another_graph(self, line3, triangle_112, solve):
+        a, c = Distribution({"a": 1.0}), Distribution({"c": 1.0})
+        with pytest.raises(BadParams, match="built for another graph"):
+            solve(line3, GeodesicTable(triangle_112), a, c)
+
     def test_marginals_and_duals(self, rng):
         for _ in range(25):
             g = random_connected_graph(rng, rng.randint(4, 8))
@@ -124,8 +130,8 @@ class TestWasserstein:
             edges = list(g.edges)
             u, v = edges[rng.randrange(len(edges))]
             t = rng.uniform(0.05, 0.9)
-            mu = neighbor_distribution(g, geo, u, t)
-            nu = neighbor_distribution(g, geo, v, t)
+            mu = neighbor_distribution(geo, u, t)
+            nu = neighbor_distribution(geo, v, t)
             plan = wasserstein(g, geo, mu, nu)
             # marginals
             row = {}
@@ -140,7 +146,7 @@ class TestWasserstein:
                 assert m == pytest.approx(nu(b), abs=1e-10)
             # the optimality certificate of the simplex that wasserstein
             # runs, on the same cost block
-            _, _, supply, demand, cost, cells = _transport_problem(g, geo, mu, nu)
+            _, _, supply, demand, cost, cells = _transport_problem(geo, mu, nu)
             flow, pot_u, pot_v = _transportation_simplex(supply, demand, cost, cells)
             assert _certificate_gap(supply, demand, cost, flow, pot_u, pot_v) < 1e-9
 
@@ -150,8 +156,8 @@ class TestWasserstein:
             geo = GeodesicTable(g)
             edges = list(g.edges)
             u, v = edges[rng.randrange(len(edges))]
-            mu = neighbor_distribution(g, geo, u, 0.3)
-            nu = neighbor_distribution(g, geo, v, 0.3)
+            mu = neighbor_distribution(geo, u, 0.3)
+            nu = neighbor_distribution(geo, v, 0.3)
             assert wasserstein(g, geo, mu, nu).cost == pytest.approx(
                 wasserstein(g, geo, nu, mu).cost, abs=1e-10
             )
@@ -164,8 +170,8 @@ class TestWasserstein:
             edges = list(g.edges)
             u, v = edges[rng.randrange(len(edges))]
             t = rng.uniform(0.05, 0.95)
-            mu = neighbor_distribution(g, geo, u, t)
-            nu = neighbor_distribution(g, geo, v, t)
+            mu = neighbor_distribution(geo, u, t)
+            nu = neighbor_distribution(geo, v, t)
             cost = wasserstein(g, geo, mu, nu).cost
             cu, du = geo.walk(u)[:2]
             cv, dv = geo.walk(v)[:2]
@@ -343,9 +349,9 @@ class TestCertificate:
             edges = list(g.edges)
             x, y = edges[rng.randrange(len(edges))]
             t = rng.uniform(0.1, 0.9)
-            mu = neighbor_distribution(g, geo, x, t)
-            nu = neighbor_distribution(g, geo, y, t)
-            yield _transport_problem(g, geo, mu, nu)[2:]
+            mu = neighbor_distribution(geo, x, t)
+            nu = neighbor_distribution(geo, y, t)
+            yield _transport_problem(geo, mu, nu)[2:]
 
     @staticmethod
     def _assert_separates(problems):
@@ -395,8 +401,8 @@ class TestBasisPotentials:
             geo = GeodesicTable(g)
             for x, y in g.edges:
                 for t in (0.9, 1e-3):
-                    mu = neighbor_distribution(g, geo, x, t)
-                    nu = neighbor_distribution(g, geo, y, t)
+                    mu = neighbor_distribution(geo, x, t)
+                    nu = neighbor_distribution(geo, y, t)
                     cost, cells = geo.cost_block(mu.support, nu.support)
                     self._assert_walked([mu(a) for a in mu.support], [nu(b) for b in nu.support], cost, cells)
 
@@ -409,8 +415,8 @@ class TestOracle:
             edges = list(g.edges)
             u, v = edges[rng.randrange(len(edges))]
             t = rng.uniform(0.05, 0.95)
-            mu = neighbor_distribution(g, geo, u, t)
-            nu = neighbor_distribution(g, geo, v, t)
+            mu = neighbor_distribution(geo, u, t)
+            nu = neighbor_distribution(geo, v, t)
             assert wasserstein(g, geo, mu, nu).cost == pytest.approx(
                 wasserstein_oracle(g, geo, mu, nu), abs=1e-8
             )
@@ -419,7 +425,7 @@ class TestOracle:
         assert wasserstein_oracle(line3, line3_geo, Distribution({"a": 1.0}), Distribution({"c": 1.0})) == pytest.approx(2.0)
 
     def test_same_distribution(self, line3, line3_geo):
-        mu = neighbor_distribution(line3, line3_geo, "b", 0.2)
+        mu = neighbor_distribution(line3_geo, "b", 0.2)
         assert wasserstein_oracle(line3, line3_geo, mu, mu) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -452,8 +458,8 @@ class TestEdgeMoves:
             edges = list(g.edges)
             u, v = edges[rng.randrange(len(edges))]
             t = rng.uniform(0.05, 0.95)
-            mu = neighbor_distribution(g, geo, u, t)
-            nu = neighbor_distribution(g, geo, v, t)
+            mu = neighbor_distribution(geo, u, t)
+            nu = neighbor_distribution(geo, v, t)
             direct = wasserstein(g, geo, mu, nu).cost
             moved, pot = edge_move_cost(g, geo, mu, nu)
             assert moved == pytest.approx(direct, abs=1e-8)
@@ -467,7 +473,7 @@ class TestEdgeMoves:
     def test_tree_transport(self, rng):
         g = gen_tree(2, 2)
         geo = GeodesicTable(g)
-        mu = neighbor_distribution(g, geo, "0", 0.25)
-        nu = neighbor_distribution(g, geo, "1", 0.25)
+        mu = neighbor_distribution(geo, "0", 0.25)
+        nu = neighbor_distribution(geo, "1", 0.25)
         moved, _ = edge_move_cost(g, geo, mu, nu)
         assert moved == pytest.approx(wasserstein(g, geo, mu, nu).cost, abs=1e-10)
