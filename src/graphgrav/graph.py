@@ -204,15 +204,15 @@ class GeodesicTable:
       before it.
     - `walk(i)` holds each vertex's neighbour geodesics and their inverse
       sums.
-    - `cost_block(sources, sinks)` holds each support cost matrix with its
-      cells in least-cost order.
+    - `cost_block(sources, sinks)` holds the cost matrix of each netted
+      transport problem (see `transport`) with its cells in least-cost order.
     """
 
     def __init__(self, g: WeightedGraph):
         self.graph = g
         self._searches = {}  # source -> ({vertex: distance} settled so far, search)
         self._walks = {}  # vertex -> (sum 1/P, sum 1/P^2, ((neighbour, P), ...))
-        self._blocks = {}  # (sources, sinks) -> (cost matrix, cells_by_cost of it)
+        self._blocks = {}  # (sources, sinks) -> (cost rows, cells_by_cost of them)
 
     def dist(self, i, j):
         if i not in self.graph._adj or j not in self.graph._adj:
@@ -241,11 +241,12 @@ class GeodesicTable:
         return walk
 
     def cost_block(self, sources, sinks):
-        """Geodesic cost matrix between two tuples of vertices, and its cells
-        from `cells_by_cost`."""
+        """Geodesic cost matrix between two tuples of vertices, as a list of
+        rows (tuple rows built from generators raised peak RSS), and its
+        cells from `cells_by_cost`."""
         block = self._blocks.get((sources, sinks))
         if block is None:
-            cost = tuple(tuple(self.dist(u, v) for v in sinks) for u in sources)
+            cost = [[self.dist(u, v) for v in sinks] for u in sources]
             block = self._blocks[sources, sinks] = cost, cells_by_cost(cost)
         return block
 

@@ -254,8 +254,8 @@ def criterion_11() -> CriterionResult:
         t = rng.uniform(0.1, 0.9)
         mu = neighbor_distribution(geo, u, t)
         nu = neighbor_distribution(geo, v, t)
-        # the optimality certificate of the solve wasserstein makes
-        _, _, supply, demand, cost, cells = _transport_problem(geo, mu, nu)
+        # the optimality certificate of the netted solve wasserstein makes
+        _, _, supply, demand, cost, cells, _ = _transport_problem(geo, mu, nu)
         flow, pot_u, pot_v = _transportation_simplex(supply, demand, cost, cells)
         gap = _certificate_gap(supply, demand, cost, flow, pot_u, pot_v)
         worst_gap = max(worst_gap, gap)

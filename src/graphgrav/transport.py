@@ -1,18 +1,25 @@
 """Vertex probability distributions and exact transportation costs.
 
+Each solve nets mu against nu first.  Under a metric cost the optimal cost
+depends only on mu - nu (Kantorovich-Rubinstein duality), so the mass
+min(mu(v), nu(v)) stays at v at cost 0, and the LP moves only the rest:
+its sources are the vertices where mu exceeds nu, with supply mu - nu, and
+its sinks those where nu exceeds mu, with demand nu - mu.
+
 One solver computes the optimal cost: a dense transportation simplex over
-the support-by-support geodesic cost matrix, started from a least-cost
+the sources-by-sinks geodesic cost matrix, started from a least-cost
 basis.  It returns its row and column potentials with the flow, and
 ``_certificate_gap`` checks the pair against the LP optimality conditions
 (primal and dual feasibility, zero duality gap), which prove the flow
 optimal; the reproduction sweep of criterion 11 runs it on every solve, the
 solves of ``wasserstein`` do not.  The test suite keeps a
-successive-shortest-path min-cost flow as an independent oracle.
+successive-shortest-path min-cost flow on the un-netted supports as an
+independent oracle.
 
-The distributions and the solver read each neighbour walk, and each
-support cost matrix with its least-cost cell order, from the geodesic
-table, which computes them once: supports and costs do not depend on t,
-so the solves of one edge's limit share one cost block.
+The distributions and the solver read each neighbour walk, and each cost
+matrix with its least-cost cell order, from the geodesic table, which
+computes them once; the sources and sinks of an edge do not change as its
+limit halves t, so the solves of one limit share one cost block.
 
 The simplex keeps its basis tree across pivots.  One walk, ``_hang``, sets
 each node's potential for Bland pricing along its tree path from row 0, and
@@ -26,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadParams, UnbalancedMass
+from .errors import BadParams, UnbalancedMass, UnknownVertex
 from .graph import GeodesicTable, WeightedGraph, _require_table
 
 MAX_PIVOTS = 100000
@@ -56,9 +63,9 @@ class Distribution:
 
 @dataclass(frozen=True)
 class TransportPlan:
-    """Optimal flows between two distributions, the cost per unit of mass of
-    each (keyed like the flows, read from the cost block) and their total
-    cost."""
+    """Optimal flows between two distributions, the mass both hold on the
+    diagonal, the cost per unit of mass of each (keyed like the flows, 0 on
+    the diagonal, else read from the cost block) and their total cost."""
 
     flows: dict
     unit_costs: dict
@@ -80,18 +87,17 @@ def neighbor_distribution(geo: GeodesicTable, i, t: float) -> Distribution:
 def wasserstein(g: WeightedGraph, geo: GeodesicTable, mu: Distribution, nu: Distribution) -> TransportPlan:
     """Exact optimal transport between mu and nu under geodesic costs.
 
-    Solved by a dense transportation simplex on the supports, started from
-    a least-cost basis (cheapest cells first, so mass shared by mu and nu
-    mostly stays put); Bland's rule resolves degenerate pivots so
-    termination is guaranteed.  The cost matrix and its cell order come
-    from ``geo.cost_block``, built once per pair of supports.  Raises
-    BadParams if ``geo`` is not the table of ``g``.
+    The plan keeps the mass mu and nu share in place, on the diagonal at
+    cost 0, and moves the rest by a dense transportation simplex on the
+    netted problem (see the module docstring), started from a least-cost
+    basis; Bland's rule resolves degenerate pivots so termination is
+    guaranteed.  Raises BadParams if ``geo`` is not the table of ``g``.
     """
     _require_table(g, geo)
-    sources, sinks, supply, demand, cost, cells = _transport_problem(geo, mu, nu)
-    flow, _, _ = _transportation_simplex(supply, demand, cost, cells)
-    flows = {}
-    unit_costs = {}
+    sources, sinks, supply, demand, cost, cells, stay = _transport_problem(geo, mu, nu)
+    flow = _transportation_simplex(supply, demand, cost, cells)[0] if cells else {}
+    flows = {(v, v): f for v, f in stay.items()}
+    unit_costs = dict.fromkeys(flows, 0.0)
     total = 0.0
     for (a, b), f in flow.items():
         if f > 0:
@@ -109,15 +115,33 @@ def _require_unit_total(total):
 
 
 def _transport_problem(geo, mu, nu):
-    """The problem ``wasserstein`` solves: the supports of mu and nu, their
-    masses, each total checked again (a distribution built around
-    ``__post_init__`` may break the rule), the cost block and its cells; the
-    block raises UnknownVertex for a support vertex outside ``geo.graph``."""
-    sources, sinks = mu.support, nu.support
+    """The netted problem ``wasserstein`` solves: sources and sinks in vertex
+    order, supply and demand, the cost block and its cells, and the mass
+    {v: min(mu(v), nu(v))} that stays.  Each total is checked again (a
+    distribution built around ``__post_init__`` may break the rule), and a
+    support vertex outside ``geo.graph`` raises UnknownVertex, netted away or
+    not.  A side, and the cells, are empty when mu equals nu or the totals
+    differ within the mass rule."""
     _require_unit_total(sum(mu.mass.values()))
     _require_unit_total(sum(nu.mass.values()))
-    cost, cells = geo.cost_block(sources, sinks)
-    return sources, sinks, [mu(v) for v in sources], [nu(v) for v in sinks], cost, cells
+    sources, sinks, supply, demand, stay = [], [], [], [], {}
+    for v in sorted(mu.mass.keys() | nu.mass.keys()):
+        a, b = mu.mass.get(v, 0.0), nu.mass.get(v, 0.0)
+        if a > b:
+            sources.append(v)
+            supply.append(a - b)
+            a = b
+        elif b > a:
+            sinks.append(v)
+            demand.append(b - a)
+        elif not a > 0:
+            continue  # in neither support
+        if v not in geo.graph:
+            raise UnknownVertex(f"unknown vertex {v!r}")
+        if a > 0:
+            stay[v] = a  # the smaller mass
+    cost, cells = geo.cost_block(tuple(sources), tuple(sinks))
+    return sources, sinks, supply, demand, cost, cells, stay
 
 
 # ---------------------------------------------------------------------------
@@ -130,9 +154,8 @@ def _least_cost_start(supply, demand, cells):
     ``cells`` are the cost matrix's cells in the order of
     ``graph.cells_by_cost``, cheapest first.  Each gets as much mass as its
     open row and column allow and then closes exactly one of them, so the
-    basis is a spanning tree of m + n - 1 cells.  Zero-cost cells come
-    first, so mass shared by two overlapping distributions stays put.  Also
-    returns 1 + the largest absolute cost, read off the sorted cells.
+    basis is a spanning tree of m + n - 1 cells.  Also returns 1 + the
+    largest absolute cost, read off the sorted cells.
     """
     m, n = len(supply), len(demand)
     a = list(supply)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from graphgrav import Distribution, GeodesicTable, GraphGravError, WeightedGraph, build_graph, edge_key
 from graphgrav.errors import UnbalancedMass
 from graphgrav.graph import _require_table
-from graphgrav.transport import _transport_problem
+from graphgrav.transport import _require_unit_total
 
 SSP_TOL = 1e-13
 
@@ -84,11 +84,14 @@ def nogo_sum(g, region, setting):
 
 def wasserstein_oracle(g: WeightedGraph, geo: GeodesicTable, mu: Distribution, nu: Distribution) -> float:
     """Same optimum as :func:`wasserstein`, via successive shortest paths on
-    the bipartite support graph with costs from ``geo.dist``.  It shares
-    only the input checks of ``wasserstein``; kept structurally independent
-    for testing."""
+    the bipartite graph of the full, un-netted supports with costs from
+    ``geo.dist``.  It shares only the input checks of ``wasserstein``; kept
+    structurally independent for testing."""
     _require_table(g, geo)
-    sources, sinks, supply, demand, _, _ = _transport_problem(geo, mu, nu)
+    _require_unit_total(sum(mu.mass.values()))
+    _require_unit_total(sum(nu.mass.values()))
+    sources, sinks = mu.support, nu.support
+    supply, demand = [mu(v) for v in sources], [nu(v) for v in sinks]
     n_src = len(sources)
     arcs = []
     for a, u in enumerate(sources):

@@ -20,6 +20,7 @@ from graphgrav import (
     gen_cycle,
     gen_hex_region,
     gen_tree,
+    kappa,
     neighbor_distribution,
     sigma_edges,
 )
@@ -311,7 +312,7 @@ class TestLocalSums:
 
 
 class TestTableMemos:
-    """A table computes each vertex's walk and each support cost block once;
+    """A table computes each vertex's walk and each netted cost block once;
     the memos must give the floats of the direct loops."""
 
     @given(connected_graphs(), st.floats(1e-9, 0.99))
@@ -332,13 +333,29 @@ class TestTableMemos:
                 assert geo.walk(i)[:2] == (inv, inv2)
                 assert neighbor_distribution(geo, i, t).mass == mass
 
-    def test_complete_graph_builds_one_cost_block(self, rng):
-        # every edge of K_n has the same two supports, all n vertices
+    def test_complete_graph_builds_a_cost_block_per_solving_edge(self, rng):
+        # every edge of K_n solves; which vertices its netted problem takes
+        # as sources and sinks does not change as the limit halves t, so all
+        # of one edge's solves ask for one block (two edges may share one)
         g = gen_complete(10)
         g = g.with_lengths({key: rng.uniform(0.25, 4.0) for key in g.edges})
         geo = GeodesicTable(g)
+        asked = []
+        cost_block = geo.cost_block
+
+        def spy(sources, sinks):
+            asked.append((sources, sinks))
+            return cost_block(sources, sinks)
+
+        geo.cost_block = spy
+        for u, v in g.edges:
+            asked.clear()
+            kappa(geo, u, v)
+            assert len(asked) >= 2 and len(set(asked)) == 1
+        blocks = dict(geo._blocks)
+        assert 1 < len(blocks) <= g.num_edges
         action_plain(g, geo)
-        assert len(geo._blocks) == 1
+        assert geo._blocks == blocks
 
     def test_one_cost_block_per_edge_that_solves(self, rng):
         # an edge whose neighbourhood metric is a double star takes no solve,

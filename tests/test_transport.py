@@ -7,6 +7,7 @@ import pytest
 from graphgrav import (
     Distribution,
     GeodesicTable,
+    action_plain,
     build_graph,
     gen_complete,
     gen_tree,
@@ -14,6 +15,7 @@ from graphgrav import (
     wasserstein,
 )
 from graphgrav.errors import BadParams, UnbalancedMass, UnknownVertex
+from graphgrav import transport
 from graphgrav.graph import cells_by_cost
 from graphgrav.transport import _certificate_gap, _least_cost_start, _transport_problem, _transportation_simplex
 
@@ -97,7 +99,7 @@ class TestWasserstein:
         mu = Distribution({"0": 0.5 + 0.9e-10, "1": 0.5})
         nu = Distribution({"1": 0.5 - 0.9e-10, "2": 0.5})
         assert wasserstein(g, geo, mu, nu).cost == pytest.approx(0.5)
-        _, _, supply, demand, cost, cells = _transport_problem(geo, mu, nu)
+        _, _, supply, demand, cost, cells, _ = _transport_problem(geo, mu, nu)
         flow, pot_u, pot_v = _transportation_simplex(supply, demand, cost, cells)
         assert _certificate_gap(supply, demand, cost, flow, pot_u, pot_v) < 1e-8
 
@@ -146,7 +148,7 @@ class TestWasserstein:
                 assert m == pytest.approx(nu(b), abs=1e-10)
             # the optimality certificate of the simplex that wasserstein
             # runs, on the same cost block
-            _, _, supply, demand, cost, cells = _transport_problem(geo, mu, nu)
+            _, _, supply, demand, cost, cells, _ = _transport_problem(geo, mu, nu)
             flow, pot_u, pot_v = _transportation_simplex(supply, demand, cost, cells)
             assert _certificate_gap(supply, demand, cost, flow, pot_u, pot_v) < 1e-9
 
@@ -176,6 +178,87 @@ class TestWasserstein:
             cu, du = geo.walk(u)[:2]
             cv, dv = geo.walk(v)[:2]
             assert cost >= geo.dist(u, v) - t * (cu / du + cv / dv) - 1e-9
+
+
+class TestNettedProblem:
+    """wasserstein solves mu - nu alone: the mass both distributions hold
+    stays on the diagonal at cost 0, and the LP moves the rest."""
+
+    def test_plan_has_the_marginals_and_keeps_shared_mass_in_place(self, rng):
+        for _ in range(40):
+            g = random_connected_graph(rng, rng.randint(3, 8))
+            geo = GeodesicTable(g)
+            edges = list(g.edges)
+            u, v = edges[rng.randrange(len(edges))]
+            t = rng.uniform(0.05, 0.95)
+            mu = neighbor_distribution(geo, u, t)
+            nu = neighbor_distribution(geo, v, t)
+            plan = wasserstein(g, geo, mu, nu)
+            row, col = {}, {}
+            for (a, b), f in plan.flows.items():
+                row[a] = row.get(a, 0.0) + f
+                col[b] = col.get(b, 0.0) + f
+            assert row.keys() == set(mu.support) and col.keys() == set(nu.support)
+            assert all(abs(m - mu(a)) <= 1e-15 for a, m in row.items())
+            assert all(abs(m - nu(b)) <= 1e-15 for b, m in col.items())
+            for x in g.vertices:
+                shared = min(mu(x), nu(x))
+                assert plan.flows.get((x, x), 0.0) == shared
+                if shared > 0:
+                    assert plan.unit_costs[(x, x)] == 0.0
+
+    def test_same_distribution_costs_zero_with_no_simplex(self, rng, monkeypatch):
+        def no_simplex(*args):
+            raise AssertionError("the simplex ran")
+
+        monkeypatch.setattr(transport, "_transportation_simplex", no_simplex)
+        g = random_connected_graph(rng, 6)
+        geo = GeodesicTable(g)
+        for x in g.vertices:
+            mu = neighbor_distribution(geo, x, 0.3)
+            plan = wasserstein(g, geo, mu, mu)
+            assert plan.cost == 0.0
+            assert plan.flows == {(a, a): mu(a) for a in mu.support}
+
+    def test_unit_complete_graph_solves_one_by_one(self, monkeypatch):
+        # on unit K4 both walks give each common neighbour t/3, so only the
+        # two ends of the edge are left to move
+        shapes = []
+        simplex = transport._transportation_simplex
+
+        def spy(supply, demand, cost, cells):
+            shapes.append((len(supply), len(demand)))
+            return simplex(supply, demand, cost, cells)
+
+        monkeypatch.setattr(transport, "_transportation_simplex", spy)
+        g = gen_complete(4)
+        action_plain(g, GeodesicTable(g))
+        assert shapes == [(1, 1)] * 12
+
+    @pytest.mark.parametrize("excess", [0.9e-10, -0.9e-10])
+    def test_one_empty_side_within_the_mass_rule(self, excess):
+        # the totals differ by 0.9e-10, which the mass rule allows, and
+        # netting leaves sources or sinks alone, so nothing is solved
+        g = gen_complete(3)
+        geo = GeodesicTable(g)
+        mu = Distribution({"0": 0.5 + excess, "1": 0.5})
+        nu = Distribution({"0": 0.5, "1": 0.5})
+        sources, sinks, _, _, _, cells, _ = _transport_problem(geo, mu, nu)
+        assert (len(sources), len(sinks), cells) == ((1, 0) if excess > 0 else (0, 1)) + ((),)
+        plan = wasserstein(g, geo, mu, nu)
+        assert plan.cost == 0.0
+        assert plan.flows == {("0", "0"): 0.5 + min(excess, 0.0), ("1", "1"): 0.5}
+
+    @pytest.mark.parametrize("solve", [wasserstein, wasserstein_oracle])
+    @pytest.mark.parametrize("excess", [0.0, 0.9e-10])
+    def test_netted_away_unknown_vertex_is_refused(self, solve, excess):
+        # zz holds mass in both distributions, so netting removes it (with
+        # excess > 0 it is the only source, and no sink is left)
+        g = gen_complete(3)
+        mu = Distribution({"1" if excess else "0": 0.5, "zz": 0.5 + excess})
+        nu = Distribution({"1": 0.5, "zz": 0.5})
+        with pytest.raises(UnknownVertex, match="zz"):
+            solve(g, GeodesicTable(g), mu, nu)
 
 
 def assert_spanning_tree(cells, m, n):
@@ -351,7 +434,7 @@ class TestCertificate:
             t = rng.uniform(0.1, 0.9)
             mu = neighbor_distribution(geo, x, t)
             nu = neighbor_distribution(geo, y, t)
-            yield _transport_problem(geo, mu, nu)[2:]
+            yield _transport_problem(geo, mu, nu)[2:6]
 
     @staticmethod
     def _assert_separates(problems):
@@ -418,7 +501,7 @@ class TestOracle:
             mu = neighbor_distribution(geo, u, t)
             nu = neighbor_distribution(geo, v, t)
             assert wasserstein(g, geo, mu, nu).cost == pytest.approx(
-                wasserstein_oracle(g, geo, mu, nu), abs=1e-8
+                wasserstein_oracle(g, geo, mu, nu), abs=1e-12
             )
 
     def test_two_point(self, line3, line3_geo):
