@@ -9,15 +9,14 @@ full neighborhoods present.
 The tree equation of motion is computed in one place, ``_tree_system``, over
 edge and half-edge index arrays: ``search.newton_solve_teom`` drives it over
 the free lengths, and ``verify_solution`` evaluates it with every edge fixed.
-``nogo_indicator`` reads its vertex sums from the same helper.
+``nogo_indicator`` reads its vertex sums from the same helper.  Each function
+that builds or reads arrays imports numpy itself, so importing this module does not.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import BadParams, NotATree
 from .graph import Region, WeightedGraph, _check_length, _require_edges, edge_key
@@ -66,6 +65,7 @@ def _vertex_ratios(g, vertices, index):
     index[key] is the length of edge key: c and d sum 1/l and 1/l^2 over the
     half-edges, in ``g.neighbors`` order, and rho = c/d.  np.bincount adds in
     input order, so these are the floats of a scalar loop over neighbours."""
+    import numpy as np
     half_edges = []
     for k, v in enumerate(vertices):
         for w in g.neighbors(v):
@@ -93,6 +93,7 @@ def _tree_system(g, interior, free, fixed):
     after them; residual row r belongs to ``interior[r]``.  Vertex sums are
     taken only at the ends of interior edges, whose degrees exceed 1.
     """
+    import numpy as np
     index = {key: k for k, key in enumerate([*fixed, *free])}
     ends = list(dict.fromkeys(v for key in interior for v in key))
     ratios = _vertex_ratios(g, ends, index)
@@ -161,7 +162,7 @@ def verify_solution(g: WeightedGraph, setting: Setting, tol: float = 1e-9) -> Eo
     interior = interior_edges(g)
     lengths, k = _unit_scaled(setting.lengths)
     residual, _ = _tree_system(g, interior, (), lengths)
-    values = residual(np.zeros(0)).tolist()
+    values = residual(()).tolist()  # no free log-lengths
     worst = max(map(abs, values), default=0.0)
     residuals = {key: math.ldexp(r, -k) for key, r in zip(interior, values)}
     return EomReport(residuals, math.ldexp(worst, -k), worst < tol)
@@ -187,6 +188,7 @@ def nogo_indicator(g: WeightedGraph, region: Region, setting: Setting) -> float:
     compatible with the given boundary-incident lengths."""
     _require_tree(g)
     _require_edges(g, setting.lengths)
+    import numpy as np
     sigma = region.vertices
     boundary = sorted(region.boundary_vertices)
     lengths, _ = _unit_scaled(setting.lengths)

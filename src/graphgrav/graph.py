@@ -176,7 +176,7 @@ def _connected(adj, within):
 def _search(g: WeightedGraph, source, settled):
     """Dijkstra from ``source`` that pauses after each vertex it settles into
     ``settled``; it holds no table, so no table is a reference cycle."""
-    dist = {source: 0.0}
+    dist = {}  # tentative distances; the source is settled on the first pop
     counter = 0  # heap tiebreaker, keeps pop order deterministic
     heap = [(0.0, counter, source)]
     while heap:

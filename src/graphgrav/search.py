@@ -1,5 +1,6 @@
 """Damped Newton with the exact Jacobian for the tree equations of motion, and
 Nelder-Mead extremal-action search, whose scipy.optimize loads only when it runs.
+numpy too loads on a search's first call, not with this module.
 
 The tree system itself, residual and Jacobian, lives in ``dynamics``; Newton
 here only drives it.  Both searches project onto the length box [1e-6, 1e3].
@@ -9,8 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .action import action_plain
 from .dynamics import Setting, _require_tol, _require_tree, _tree_system, _unit_exponent, _unit_scaled, interior_edges
@@ -82,6 +81,7 @@ def newton_solve_teom(
     for key in free if init is not None else ():
         if key not in init:
             raise BadParams(f"init must give a length for free edge {key!r}")
+    import numpy as np
     fixed, k = _unit_scaled(boundary.lengths)
     log_fixed = float(np.sum([math.log(v) for v in fixed.values()]))
     anchor = log_fixed / len(fixed) if fixed else 0.0
@@ -109,14 +109,14 @@ def newton_solve_teom(
 
 
 def _to_box(x):
-    return np.clip(x, LOG_LENGTH_LO, LOG_LENGTH_HI)
+    return x.clip(LOG_LENGTH_LO, LOG_LENGTH_HI)
 
 
 def _on_box(x, free_scale):
     """Whether no move takes the log-lengths x off the box, to 1e-6: with a free
     common scale a length sits at each end, with fixed data one end suffices."""
-    low = np.min(x, initial=LOG_LENGTH_HI) < LOG_LENGTH_LO + 1e-6
-    high = np.max(x, initial=LOG_LENGTH_LO) > LOG_LENGTH_HI - 1e-6
+    low = x.min(initial=LOG_LENGTH_HI) < LOG_LENGTH_LO + 1e-6
+    high = x.max(initial=LOG_LENGTH_LO) > LOG_LENGTH_HI - 1e-6
     return bool(low and high if free_scale else low or high)
 
 
@@ -124,6 +124,7 @@ def _newton_run(residual, jacobian, x, tol, exponent):
     """One damped Newton descent; returns (x, max_abs_residual, iterations, converged),
     and stops once converged: max_abs_residual * 2^exponent(x) < tol.  Each damped
     trial is projected onto the box, so every iterate stays in it."""
+    import numpy as np
     if not np.array_equal(_to_box(x), x):
         raise BadParams("initial free lengths must lie within [1e-6, 1e3]")
     res = residual(x)
@@ -181,6 +182,7 @@ def extremize_action(
         raise BadParams(f"seed must be >= 0, got {seed}")
     fixed_map, k = _unit_scaled(fixed.lengths if fixed is not None else {})
     _require_edges(g, fixed_map)
+    import numpy as np
     from scipy import optimize
     free = [key for key in g.edges if key not in fixed_map]
     if not free:

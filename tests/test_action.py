@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -475,6 +476,19 @@ class TestRatioBounds:
         assert ok
         # a leaf sits exactly at the lower end, which it may
         assert ratio_bounds(geo, "a") == (1.0, True)
+
+    @pytest.mark.parametrize(
+        "deg, ratio, ok",
+        [
+            (2, 1.0 - 1e-9, False), (2, 1.0, False), (2, 1.0 + 1e-9, True),  # strict at degree >= 2
+            (2, 2.0, True), (2, 2.0 + 1e-8, False), (3, 3.0, True), (3, 3.0 + 1e-8, False),  # deg bounds
+            (1, 1.0 - 1e-9, False), (1, 1.0, True), (1, 1.0 + 1e-9, False),  # a leaf sits at 1
+        ],
+    )
+    def test_verdict_on_each_side_of_each_bound(self, deg, ratio, ok):
+        # a stand-in table: vertex "v" of degree deg with c = d = ratio, so c^2/d reads ratio
+        geo = SimpleNamespace(graph=SimpleNamespace(degree=lambda v: deg), walk=lambda v: (ratio, ratio, ()))
+        assert ratio_bounds(geo, "v") == (pytest.approx(ratio), ok)
 
 
 def one_sided_cost(geo, i, j, t):

@@ -368,6 +368,13 @@ class TestTwoProgression:
         roots = two_progression_x(0.25, 3.0)
         assert max(roots) == pytest.approx((math.sqrt(46.0) - 5.0) / 7.0)
 
+    def test_returns_both_roots(self):
+        # a = -7, b = -10, c = 3: two distinct roots, -(5 + sqrt 46)/7 and (sqrt 46 - 5)/7
+        roots = two_progression_x(0.25, 3.0)
+        assert roots == pytest.approx([-(5.0 + math.sqrt(46.0)) / 7.0, (math.sqrt(46.0) - 5.0) / 7.0])
+        for x in roots:
+            assert 0.25 * 3.0 * 4.0 * (x * x + 1.0) == pytest.approx(x * (x + 1.0) * 10.0)
+
     def test_constant_embeds(self):
         assert 1.0 in [pytest.approx(r) for r in two_progression_x(1.0, 1.0)]
 

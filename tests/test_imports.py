@@ -33,6 +33,35 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def eager_array_imports(source):
+    """numpy and scipy modules that a module imports at top level, so that
+    importing it loads them."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return [name for name in names if name.split(".")[0] in ("numpy", "scipy")]
+
+
+def test_finds_an_eager_array_import():
+    source = (
+        "import math, numpy as np\nfrom scipy.optimize import minimize\nfrom .graph import edge_key\n\n"
+        "def f():\n    import scipy\n    return np, minimize, scipy\n"
+    )
+    assert eager_array_imports(source) == ["numpy", "scipy.optimize"]
+
+
+def test_no_eager_array_imports():
+    """Curvature, action and the command line need no arrays: a module of
+    src/ imports numpy or scipy in the functions that use them, so that
+    ``import graphgrav`` loads neither."""
+    package = ROOT / "src" / "graphgrav"
+    eager = [f"{p.name}:{m}" for p in sorted(package.glob("*.py")) for m in eager_array_imports(p.read_text())]
+    assert eager == []
+
+
 def top_level_definitions(source):
     """Names of the functions and classes a module defines at top level,
     pytest fixtures aside: pytest reads those, not a module."""

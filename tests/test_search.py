@@ -121,6 +121,28 @@ def test_import_leaves_scipy_optimize_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_numpy_loads_only_when_an_array_path_runs():
+    """The package, its command line and the curvature and action paths run
+    on the standard library; Newton loads numpy on its first call."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(graphgrav.__file__)))
+    code = (
+        "import sys, graphgrav, graphgrav.cli\n"
+        "seen = ['numpy' in sys.modules]\n"
+        "g = graphgrav.gen_complete(4)\n"
+        "geo = graphgrav.GeodesicTable(g)\n"
+        "graphgrav.action_plain(g, geo), graphgrav.edge_curvatures(geo), graphgrav.kappa_t(geo, '0', '1', 0.5)\n"
+        "seen.append('numpy' in sys.modules)\n"
+        "t = graphgrav.gen_tree(2, 3)\n"
+        "inner = set(graphgrav.interior_edges(t))\n"
+        "graphgrav.newton_solve_teom(t, graphgrav.Setting({k: 1.0 for k in t.edges if k not in inner}))\n"
+        "print(seen + ['numpy' in sys.modules])\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[False, False, True]"
+
+
 def test_unknown_objective_is_refused_before_scipy_loads():
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(graphgrav.__file__)))
     code = (
