@@ -3,7 +3,9 @@
 Subcommands: gen, curvature, action, verify-eom, solve-eom, search, bounds,
 reproduce.  All input and output is JSON; runs are deterministic for a given
 --seed.  Exit codes: 0 success, 1 semantic failure (not a solution, criterion
-failed), 2 input error, 3 invariant violation.
+failed), 2 input error, 3 invariant violation.  Each ``cmd_*`` returns its
+document (None when it writes none) and its verdict; ``main`` alone writes the
+document, to stdout or to --out, and turns the verdict into exit 0 or 1.
 
 Every input file is read in one load stage before the command runs; only a
 failure there (malformed JSON, an unreadable file, a missing key, a value of
@@ -100,20 +102,19 @@ def _load_inputs(args):
     after refusing a tree-only ``gen --setting`` for another family.
 
     Returns the graph as ``g``, with the lengths of ``--setting`` applied
-    where the command takes them, and each setting file (setting, boundary,
-    init, fixed) under its own name.  A region is read only by the action
-    variants that use one.
+    where the command takes them, and each setting file (setting, candidate,
+    boundary, init, fixed) under its own name.  A region is read only by the
+    action variants that use one.
     """
-    if args.command == "gen" and args.setting in ("half-half", "two-progression"):
-        if args.family != "tree":
-            raise ValueError(f"--setting {args.setting} applies to trees only")
-    if args.command in ("gen", "reproduce"):
+    if getattr(args, "family", "tree") != "tree" and args.setting in ("half-half", "two-progression"):
+        raise ValueError(f"--setting {args.setting} applies to trees only")
+    if not hasattr(args, "graph"):
         return {}
     inp = {"g": _graph_from_json(_load_json(args.graph))}
-    for name in ("setting", "boundary", "init", "fixed"):
+    for name in ("setting", "candidate", "boundary", "init", "fixed"):
         path = getattr(args, name, None)
         inp[name] = _setting_from_json(_load_json(path)) if path else None
-    if args.command != "verify-eom" and inp["setting"] is not None:
+    if inp["setting"] is not None:
         inp["g"] = inp["g"].with_lengths(inp["setting"].lengths)
     if getattr(args, "variant", "plain") != "plain":
         if not args.region:
@@ -147,7 +148,7 @@ def cmd_gen(args, _inp):
             m = find_perfect_matching(g)
             if m is None:
                 print("no perfect matching exists", file=sys.stderr)
-                return EXIT_SEMANTIC
+                return None, False
             setting = matching_setting(g, m, args.eps)
         elif args.setting == "constant":
             setting = constant_setting(g, args.length)
@@ -156,8 +157,7 @@ def cmd_gen(args, _inp):
         doc["setting"] = _setting_to_json(setting)
     if region is not None:
         doc["region"] = {"sigma": sorted(region.vertices)}
-    _emit(doc, args.out)
-    return EXIT_OK
+    return doc, True
 
 
 def cmd_curvature(args, inp):
@@ -169,9 +169,7 @@ def cmd_curvature(args, inp):
     else:
         per_edge = edge_curvatures(geo)
         mode = {"t": "limit"}
-    doc = {**mode, "edges": _edge_list(per_edge, "kappa"), "total": sum(per_edge.values())}
-    _emit(doc, args.out)
-    return EXIT_OK
+    return {**mode, "edges": _edge_list(per_edge, "kappa"), "total": sum(per_edge.values())}, True
 
 
 def cmd_action(args, inp):
@@ -193,19 +191,17 @@ def cmd_action(args, inp):
     }
     if rep.closed_form is not None:
         doc["closed_form"] = rep.closed_form
-    _emit(doc, args.out)
-    return EXIT_OK
+    return doc, True
 
 
 def cmd_verify_eom(args, inp):
-    rep = verify_solution(inp["g"], inp["setting"], tol=args.tol)
+    rep = verify_solution(inp["g"], inp["candidate"], tol=args.tol)
     doc = {
         "is_solution": rep.is_solution,
         "max_abs_residual": rep.max_abs_residual,
         "residuals": _edge_list(rep.residuals, "residual"),
     }
-    _emit(doc, args.out)
-    return EXIT_OK if rep.is_solution else EXIT_SEMANTIC
+    return doc, rep.is_solution
 
 
 def cmd_solve_eom(args, inp):
@@ -219,8 +215,7 @@ def cmd_solve_eom(args, inp):
         "restarts_used": res.restarts_used,
         "setting": _setting_to_json(res.setting),
     }
-    _emit(doc, args.out)
-    return EXIT_OK if res.converged else EXIT_SEMANTIC
+    return doc, res.converged
 
 
 def cmd_search(args, inp):
@@ -237,11 +232,10 @@ def cmd_search(args, inp):
     }
     if res.at_box_boundary:
         doc["note"] = "best point sits on the length box; treat as supremum evidence"
-    _emit(doc, args.out)
-    return EXIT_OK
+    return doc, True
 
 
-def cmd_bounds(args, inp):
+def cmd_bounds(_args, inp):
     g = inp["g"]
     geo = GeodesicTable(g)
     rep = action_plain(g, geo)
@@ -257,22 +251,16 @@ def cmd_bounds(args, inp):
         "bound_holds": rep.total <= rep.bound_upper + 1e-9,
         "vertex_ratios": ratios,
     }
-    _emit(doc, args.out)
-    return EXIT_OK if doc["bound_holds"] and ratios_ok else EXIT_SEMANTIC
+    return doc, doc["bound_holds"] and ratios_ok
 
 
 def cmd_reproduce(args, _inp):
     rows = repro.run_all()
     width = max(len(r.name) for r in rows)
-    all_ok = True
     for r in rows:
-        status = "PASS" if r.passed else "FAIL"
-        all_ok &= r.passed
-        print(f"[{status}] {r.num:2d}  {r.name:<{width}}  {r.computed}")
+        print(f"[{'PASS' if r.passed else 'FAIL'}] {r.num:2d}  {r.name:<{width}}  {r.computed}")
     print(f"{sum(r.passed for r in rows)}/{len(rows)} criteria passed")
-    if args.out:
-        _emit([dataclasses.asdict(r) for r in rows], args.out)
-    return EXIT_OK if all_ok else EXIT_SEMANTIC
+    return ([dataclasses.asdict(r) for r in rows] if args.out else None), all(r.passed for r in rows)
 
 
 def build_parser():
@@ -281,6 +269,11 @@ def build_parser():
         description="Ricci curvature, action, and edge-length equations of motion on weighted graphs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the arguments several commands share, each declared once
+    graph = argparse.ArgumentParser(add_help=False)
+    graph.add_argument("graph")
+    graph_setting = argparse.ArgumentParser(add_help=False, parents=[graph])
+    graph_setting.add_argument("--setting")
 
     p = sub.add_parser("gen", help="generate a graph family and setting")
     p.add_argument("family", choices=["tree", "complete", "cycle", "hex"])
@@ -301,35 +294,29 @@ def build_parser():
     p.add_argument("--alpha", type=float, default=0.25)
     p.add_argument("--x", type=float, default=None)
     p.add_argument("--y", type=float, default=3.0)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("curvature", help="per-edge curvature (limit or fixed t)")
-    p.add_argument("graph")
-    p.add_argument("--setting")
+    p = sub.add_parser("curvature", parents=[graph_setting], help="per-edge curvature (limit or fixed t)")
     p.add_argument("--t", type=float, default=None)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_curvature)
 
-    p = sub.add_parser("action", help="action of a graph or region")
-    p.add_argument("graph")
-    p.add_argument("--setting")
+    p = sub.add_parser("action", parents=[graph_setting], help="action of a graph or region")
     p.add_argument(
         "--variant", choices=["plain", "ghy", "region-plain", "tree-hex"], default="plain"
     )
     p.add_argument("--region")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_action)
 
-    p = sub.add_parser("verify-eom", help="check a setting against the tree equations of motion")
-    p.add_argument("graph")
-    p.add_argument("setting")
+    p = sub.add_parser(
+        "verify-eom", parents=[graph], help="check a setting against the tree equations of motion"
+    )
+    p.add_argument("candidate", metavar="setting")  # not --setting: the graph keeps its lengths
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_verify_eom)
 
-    p = sub.add_parser("solve-eom", help="solve the tree equations of motion under boundary data")
-    p.add_argument("graph")
+    p = sub.add_parser(
+        "solve-eom", parents=[graph], help="solve the tree equations of motion under boundary data"
+    )
     p.add_argument("boundary")
     p.add_argument("--init")
     p.add_argument("--tol", type=float, default=1e-12)
@@ -337,34 +324,31 @@ def build_parser():
                    help="random starts after the first (RESTARTS >= 0): up to 1 + RESTARTS run "
                    "until one converges; restarts_used is the 0-based index of the start kept")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_solve_eom)
 
-    p = sub.add_parser("search", help="extremize the action over free edge lengths")
-    p.add_argument("graph")
+    p = sub.add_parser("search", parents=[graph], help="extremize the action over free edge lengths")
     p.add_argument("--objective", choices=["min", "max"], required=True)
     p.add_argument("--fixed")
     p.add_argument("--restarts", type=int, default=20,
                    help="Nelder-Mead starts (RESTARTS >= 1), where solve-eom counts starts after "
                    "the first; restarts_used is the 0-based index of the start kept")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("bounds", help="action bound and vertex ratio checks")
-    p.add_argument("graph")
-    p.add_argument("--setting")
-    p.add_argument("--out")
+    p = sub.add_parser("bounds", parents=[graph_setting], help="action bound and vertex ratio checks")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("reproduce", help="recompute the published values and report pass/fail")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_reproduce)
 
+    for p in sub.choices.values():  # last, so --help lists it after each command's own options
+        p.add_argument("--out")
     return parser
 
 
 def main(argv=None):
+    """Run one command: its JSON document goes to stdout, or to --out instead,
+    and exit 1 reports the document's verdict."""
     args = build_parser().parse_args(argv)
     try:
         try:
@@ -372,8 +356,10 @@ def main(argv=None):
         except (KeyError, TypeError, ValueError, OSError) as exc:
             print(f"input error: {exc}", file=sys.stderr)
             return EXIT_PARSE
-        return args.func(args, inp)
+        doc, ok = args.func(args, inp)
     except GraphGravError as exc:
         print(f"invariant violation: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-
+    if doc is not None:
+        _emit(doc, args.out)
+    return EXIT_OK if ok else EXIT_SEMANTIC

@@ -86,8 +86,19 @@ def newton_solve_teom(
     log_fixed = float(np.sum([math.log(v) for v in fixed.values()]))
     anchor = log_fixed / len(fixed) if fixed else 0.0
 
-    def exponent(x):  # verify_solution's power of two for the lengths at x, read from x
-        return _unit_exponent((log_fixed + float(np.sum(x))) / math.log(2.0), len(fixed) + len(free))
+    in_order = {**g.lengths(), **boundary.lengths}  # g.edges order, as the command line writes them
+
+    def lengths_at(x):  # the lengths reported for x; np.exp, as the residual reads x
+        return {**in_order, **dict(zip(free, (math.ldexp(ell, -k) for ell in np.exp(x).tolist())))}
+
+    def passes(x, worst):
+        """verify_solution's verdict on lengths_at(x), whose largest residual
+        is worst * 2^-k.  Their power of two is within 1 of the one read from
+        x, so only a residual within a factor 4 of tol needs the lengths."""
+        e = _unit_exponent((log_fixed + float(np.sum(x))) / math.log(2.0), len(fixed) + len(free))
+        if math.ldexp(worst, e - 1) < tol <= math.ldexp(worst, e + 1):
+            e = _unit_scaled(lengths_at(x))[1] - k
+        return math.ldexp(worst, e) < tol
 
     residual, jacobian = _tree_system(g, interior, free, fixed)
     rng = best = None
@@ -97,15 +108,13 @@ def newton_solve_teom(
         else:
             rng = rng or np.random.default_rng(seed)
             x0 = anchor + rng.uniform(-0.3, 0.3, size=len(free))
-        x, worst, iterations, converged = _newton_run(residual, jacobian, x0, tol, exponent)
+        x, worst, iterations, converged = _newton_run(residual, jacobian, x0, passes)
         if best is None or converged or worst < best[1]:
             best = (x, worst, iterations, converged, start)
         if converged:
             break
     x, worst, iterations, converged, start = best
-    # np.exp, as the residual that judged x reads it
-    lengths = {**boundary.lengths, **{key: math.ldexp(ell, -k) for key, ell in zip(free, np.exp(x).tolist())}}
-    return SearchResult(Setting(lengths), math.ldexp(worst, -k), iterations, converged, start, _on_box(x, False))
+    return SearchResult(Setting(lengths_at(x)), math.ldexp(worst, -k), iterations, converged, start, _on_box(x, False))
 
 
 def _to_box(x):
@@ -120,17 +129,17 @@ def _on_box(x, free_scale):
     return bool(low and high if free_scale else low or high)
 
 
-def _newton_run(residual, jacobian, x, tol, exponent):
+def _newton_run(residual, jacobian, x, passes):
     """One damped Newton descent; returns (x, max_abs_residual, iterations, converged),
-    and stops once converged: max_abs_residual * 2^exponent(x) < tol.  Each damped
-    trial is projected onto the box, so every iterate stays in it."""
+    and stops once converged: passes(x, max_abs_residual).  Each damped trial is
+    projected onto the box, so every iterate stays in it."""
     import numpy as np
     if not np.array_equal(_to_box(x), x):
         raise BadParams("initial free lengths must lie within [1e-6, 1e3]")
     res = residual(x)
     for iterations in range(MAX_NEWTON_ITER + 1):
         worst = float(np.max(np.abs(res), initial=0.0))
-        converged = math.ldexp(worst, exponent(x)) < tol  # a NaN residual is not
+        converged = passes(x, worst)  # a NaN residual does not pass
         if converged or iterations == MAX_NEWTON_ITER or not x.size:
             break
         jac = jacobian(x)

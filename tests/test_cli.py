@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -24,7 +25,7 @@ from graphgrav import (
     half_half_setting,
     interior_edges,
 )
-from graphgrav.cli import _graph_from_json, _graph_to_json, _setting_to_json, main
+from graphgrav.cli import _graph_from_json, _graph_to_json, _setting_to_json, build_parser, main
 
 
 def run(capsys, *argv):
@@ -379,6 +380,33 @@ def test_output_is_identical_across_hash_seeds(tmp_path, command, inputs, extra)
         assert doc["is_solution"] and doc["residuals"]
     else:
         assert doc["setting"]["lengths"]
+
+
+def _subcommands():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sorted(sub.choices)
+
+
+# inputs per command; reproduce prints its table and writes rows, not the table, to --out
+OUT_INPUTS = {
+    "action": _hex_file,
+    "bounds": _hex_file,
+    "curvature": _hex_file,
+    "gen": lambda tmp_path: ["tree"],
+    "search": _c4_file,
+    "solve-eom": _tree_boundary_files,
+    "verify-eom": _half_half_files,
+}
+
+
+@pytest.mark.parametrize("command", [c for c in _subcommands() if c != "reproduce"])
+def test_out_writes_the_bytes_printed(tmp_path, capsys, command):
+    # a command missing from OUT_INPUTS fails here until it is added
+    argv = [command, *OUT_INPUTS[command](tmp_path)]
+    code, printed = run(capsys, *argv)
+    out = tmp_path / "out.json"
+    assert run(capsys, *argv, "--out", str(out)) == (code, "")
+    assert out.read_bytes() == printed.encode()
 
 
 class TestExitCodes:

@@ -379,8 +379,9 @@ class TestTwoProgression:
         assert 1.0 in [pytest.approx(r) for r in two_progression_x(1.0, 1.0)]
 
     def test_rejects_nonpositive_alpha(self):
-        with pytest.raises(BadParams, match="alpha and y must be positive"):
-            two_progression_x(0.0, 3.0)
+        for alpha, y in ((0.0, 3.0), (0.25, 0.0)):  # y too
+            with pytest.raises(BadParams, match="alpha and y must be positive"):
+                two_progression_x(alpha, y)
 
     @given(
         st.floats(min_value=0.2, max_value=2.0),

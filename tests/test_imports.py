@@ -275,3 +275,33 @@ def test_every_parameter_is_read():
     package = ROOT / "src" / "graphgrav"
     unread = [f"{p.name}:{f}" for p in sorted(package.glob("*.py")) for f in unread_parameters(p.read_text())]
     assert unread == []
+
+
+def emit_callers(source):
+    """Top-level functions of ``source``, other than ``main``, that call
+    ``_emit``, closures included."""
+    def emits(node):
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_emit"
+
+    return [
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name != "main"
+        and any(map(emits, ast.walk(node)))
+    ]
+
+
+def test_finds_an_emit_outside_main():
+    source = (
+        "def _emit(doc):\n    print(doc)\n\n"
+        "def cmd(args):\n    def later():\n        _emit(args)\n    return later\n\n"
+        "def quiet(args):\n    return args, True\n\n"
+        "def main(argv):\n    _emit(quiet(argv))\n"
+    )
+    assert emit_callers(source) == ["cmd"]
+
+
+def test_only_main_emits():
+    """One writer: each command returns its document and verdict, and the
+    CLI's ``main`` alone writes the document and picks the exit code."""
+    assert emit_callers((ROOT / "src" / "graphgrav" / "cli.py").read_text()) == []

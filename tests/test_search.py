@@ -273,6 +273,21 @@ class TestNewton:
         assert (res.converged, res.iterations, res.restarts_used) == (True, iterations, 2)
         assert verify_solution(g, res.setting, tol=1e-7).is_solution
 
+    def test_verdict_reads_the_power_of_two_of_the_reported_lengths(self):
+        # at the boundary sqrt(2) the mean log2 of the lengths is 1/2: a sum
+        # of natural logs over ln 2 and verify_solution's sum of log2 round it
+        # to powers of two a factor 2 apart, and the run at 6 iterations
+        # (1.33e-15) passes the first reading only; the reported setting, in
+        # g.edges order as the command line writes it, is judged by the second
+        g = gen_tree(2, 3)
+        interior = interior_edges(g)
+        boundary = Setting({key: math.sqrt(2.0) for key in g.edges if key not in interior})
+        res = newton_solve_teom(g, boundary, tol=1e-15, seed=0)
+        report = verify_solution(g, res.setting, tol=1e-15)
+        assert (res.converged, report.is_solution) == (True, True)
+        assert res.objective == report.max_abs_residual < 1.33e-15
+        assert list(res.setting.lengths) == list(g.edges)
+
     def test_missing_boundary_rejected(self):
         g = gen_tree(2, 2)
         with pytest.raises(BadParams):
@@ -310,7 +325,7 @@ class TestNewton:
         def jacobian(x):
             return np.array([[1.0, 1.0], [2.0, 2.0]])
 
-        x, worst, iterations, converged = _newton_run(residual, jacobian, np.zeros(2), 1e-12, lambda x: 0)
+        x, worst, iterations, converged = _newton_run(residual, jacobian, np.zeros(2), lambda x, worst: worst < 1e-12)
         assert x == pytest.approx([0.3, 0.3])
         assert worst == pytest.approx(0.4)
         assert not converged
@@ -321,11 +336,14 @@ class TestNewton:
         # steps |r| = (1/8)(8/27)^4 = 9.6e-4 < 1e-3, but read one power of two
         # up it is 1.9e-3, and only a fifth step brings 2|r| below 1e-3
         def run(exponent):
-            return _newton_run(lambda x: x**3, lambda x: np.diag(3.0 * x * x), np.array([0.5]), 1e-3, exponent)
+            def passes(x, worst):
+                return math.ldexp(worst, exponent) < 1e-3
 
-        _, worst, iterations, converged = run(lambda x: 0)
+            return _newton_run(lambda x: x**3, lambda x: np.diag(3.0 * x * x), np.array([0.5]), passes)
+
+        _, worst, iterations, converged = run(0)
         assert (iterations, converged) == (4, True) and 2.0 * worst > 1e-3
-        _, worst, iterations, converged = run(lambda x: 1)
+        _, worst, iterations, converged = run(1)
         assert (iterations, converged) == (5, True) and 2.0 * worst < 1e-3
 
     @pytest.mark.parametrize("m", [9, -30, 500])
@@ -424,7 +442,7 @@ class TestNewton:
         # by the trust region and stop on the floor itself
         target = LOG_LENGTH_LO - 1.0
         x, worst, iterations, converged = _newton_run(
-            lambda x: x - target, lambda x: np.eye(1), np.zeros(1), 1e-12, lambda x: 0)
+            lambda x: x - target, lambda x: np.eye(1), np.zeros(1), lambda x, worst: worst < 1e-12)
         assert x[0] == LOG_LENGTH_LO and worst == 1.0 and not converged
         assert iterations == math.ceil(-LOG_LENGTH_LO / MAX_LOG_STEP) + 1
 

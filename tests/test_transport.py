@@ -119,6 +119,10 @@ class TestWasserstein:
         with pytest.raises(UnknownVertex):
             solve(line3, line3_geo, Distribution({"zz": 1.0}), Distribution({"a": 1.0}))
 
+    def test_zero_mass_outside_the_graph_is_not_support(self, line3, line3_geo):
+        plan = wasserstein(line3, line3_geo, Distribution({"a": 1.0, "zz": 0.0}), Distribution({"a": 1.0}))
+        assert (plan.cost, plan.flows) == (0.0, {("a", "a"): 1.0})
+
     @pytest.mark.parametrize("solve", [wasserstein, wasserstein_oracle])
     def test_refuses_a_table_of_another_graph(self, line3, triangle_112, solve):
         a, c = Distribution({"a": 1.0}), Distribution({"c": 1.0})
