@@ -2,13 +2,12 @@
 and bounds.
 
 Each boundary vertex of a region action's region needs a unique edge into
-the region.  Every plain action's total is the sum of the edge curvatures
-it reports.
+the region.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .curvature import edge_curvatures, kappa_tree_closed
 from .dynamics import _require_tree
@@ -22,20 +21,23 @@ class ActionReport:
     per_edge: dict
     bound_upper: float
     variant: str
-    closed_form: float | None = field(default=None)
+    closed_form: float | None
+
+
+def _report(g, per_edge, variant, total=None, closed_form=None):
+    """The report of an action on ``g``: a plain action's total is the sum of
+    the edge curvatures it reports (only the GHY vertex sum gives its own
+    ``total``), and ``bound_upper`` is 2|E|, the bound on any finite graph."""
+    if total is None:
+        total = sum(per_edge.values())
+    return ActionReport(total, per_edge, 2.0 * g.num_edges, variant, closed_form)
 
 
 def action_plain(g: WeightedGraph, geo: GeodesicTable, edge_set=None) -> ActionReport:
     """Sum of limit curvatures over ``edge_set`` (default: all edges); ``geo``
     must be the table of ``g`` (BadParams)."""
     _require_table(g, geo)
-    per_edge = edge_curvatures(geo, edge_set)
-    return ActionReport(
-        total=sum(per_edge.values()),
-        per_edge=per_edge,
-        bound_upper=bound_upper_global(g),
-        variant="plain",
-    )
+    return _report(g, edge_curvatures(geo, edge_set), "plain")
 
 
 def _closed_form_parts(geo, region):
@@ -71,12 +73,7 @@ def action_ghy(g: WeightedGraph, region: Region) -> ActionReport:
     per_edge, total, boundary = _closed_form_parts(GeodesicTable(g), region)
     for ratio in boundary:
         total -= ratio
-    return ActionReport(
-        total=total,
-        per_edge=per_edge,
-        bound_upper=bound_upper_global(g),
-        variant="ghy",
-    )
+    return _report(g, per_edge, "ghy", total)
 
 
 def action_region_plain(g: WeightedGraph, region: Region) -> ActionReport:
@@ -85,12 +82,7 @@ def action_region_plain(g: WeightedGraph, region: Region) -> ActionReport:
     into the region."""
     _require_tree(g)
     per_edge, _, _ = _closed_form_parts(GeodesicTable(g), region)
-    return ActionReport(
-        total=sum(per_edge.values()),
-        per_edge=per_edge,
-        bound_upper=bound_upper_global(g),
-        variant="plain",
-    )
+    return _report(g, per_edge, "plain")
 
 
 def tree_action_hex(g: WeightedGraph, geo: GeodesicTable, region: Region) -> ActionReport:
@@ -104,25 +96,13 @@ def tree_action_hex(g: WeightedGraph, geo: GeodesicTable, region: Region) -> Act
     _require_table(g, geo)
     _require_hex_region(g, region)
     per_edge, identity, boundary = _closed_form_parts(geo, region)
-    identity -= len(boundary) / 3.0
-    return ActionReport(
-        total=sum(per_edge.values()),
-        per_edge=per_edge,
-        bound_upper=bound_upper_global(g),
-        variant="tree_action",
-        closed_form=identity,
-    )
+    return _report(g, per_edge, "tree_action", closed_form=identity - len(boundary) / 3.0)
 
 
 def _require_hex_region(g, region):
     for i in region.interior:
         if g.degree(i) != 3:
             raise NotHexRegion(f"interior vertex {i!r} has degree {g.degree(i)}, need 3")
-
-
-def bound_upper_global(g: WeightedGraph) -> float:
-    """Upper bound 2|E| on the action of any finite graph."""
-    return 2.0 * g.num_edges
 
 
 def ratio_bounds(geo: GeodesicTable, i):

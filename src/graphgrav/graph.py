@@ -177,10 +177,9 @@ def _search(g: WeightedGraph, source, settled):
     """Dijkstra from ``source`` that pauses after each vertex it settles into
     ``settled``; it holds no table, so no table is a reference cycle."""
     dist = {}  # tentative distances; the source is settled on the first pop
-    counter = 0  # heap tiebreaker, keeps pop order deterministic
-    heap = [(0.0, counter, source)]
+    heap = [(0.0, source)]  # equal distances pop by id, a str
     while heap:
-        d, _, u = heapq.heappop(heap)
+        d, u = heapq.heappop(heap)
         if u in settled:
             continue
         settled[u] = d
@@ -189,8 +188,7 @@ def _search(g: WeightedGraph, source, settled):
             nd = d + g._lengths[edge_key(u, w)]
             if w not in settled and (w not in dist or nd < dist[w]):
                 dist[w] = nd
-                counter += 1
-                heapq.heappush(heap, (nd, counter, w))
+                heapq.heappush(heap, (nd, w))
 
 
 class GeodesicTable:

@@ -300,6 +300,21 @@ class TestSolveAndBounds:
         assert doc["bound_holds"] is True
 
 
+class TestSearchCommand:
+    @pytest.mark.parametrize("objective, on_box", [("max", True), ("min", False)])
+    def test_box_note_follows_the_flag(self, tmp_path, capsys, objective, on_box):
+        # the square's maximum is a supremum at the length box, its minimum is not
+        (tmp_path / "c4.json").write_text(json.dumps(_graph_to_json(gen_cycle(4))))
+        code, out = run(
+            capsys, "search", str(tmp_path / "c4.json"),
+            "--objective", objective, "--restarts", "1", "--seed", "9",
+        )
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["at_box_boundary"] is on_box
+        assert doc.get("note") == ("best point sits on the length box; treat as supremum evidence" if on_box else None)
+
+
 def test_output_is_deterministic(tmp_path, capsys):
     graph = write_triangle(tmp_path)
     _, first = run(capsys, "curvature", graph)

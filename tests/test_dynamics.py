@@ -377,6 +377,8 @@ class TestTwoProgression:
 
     def test_constant_embeds(self):
         assert 1.0 in [pytest.approx(r) for r in two_progression_x(1.0, 1.0)]
+        # just off the constant, the x^2 coefficient is below 1e-14 (|b| + |c|): one root
+        assert two_progression_x(1 + 2**-46, 1.0) == pytest.approx((1.0,))
 
     def test_rejects_nonpositive_alpha(self):
         for alpha, y in ((0.0, 3.0), (0.25, 0.0)):  # y too

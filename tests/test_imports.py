@@ -305,3 +305,37 @@ def test_only_main_emits():
     """One writer: each command returns its document and verdict, and the
     CLI's ``main`` alone writes the document and picks the exit code."""
     assert emit_callers((ROOT / "src" / "graphgrav" / "cli.py").read_text()) == []
+
+
+def report_builders(source):
+    """Top-level definitions of ``source`` that call ``ActionReport``, bare or
+    as an attribute, closures included; a call outside them is ``<module>``."""
+    def builds(node):
+        return isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Name) and node.func.id == "ActionReport"
+            or isinstance(node.func, ast.Attribute) and node.func.attr == "ActionReport"
+        )
+
+    return [
+        node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.parse(source).body
+        if any(map(builds, ast.walk(node)))
+    ]
+
+
+def test_finds_a_report_built_outside_the_builder():
+    source = (
+        "def _report(g):\n    return ActionReport(g)\n\n"
+        "def plain(g):\n    def later():\n        return action.ActionReport(g)\n    return later\n\n"
+        "def ghy(g):\n    return _report(g)\n\n"
+        "EMPTY = ActionReport(None)\n"
+    )
+    assert report_builders(source) == ["_report", "plain", "<module>"]
+
+
+def test_only_the_builder_makes_action_reports():
+    """One builder: ``action._report`` alone calls ``ActionReport``, so a
+    plain action's edge-sum total and the 2|E| bound are stated once."""
+    package = ROOT / "src" / "graphgrav"
+    found = [f"{p.name}:{name}" for p in sorted(package.glob("*.py")) for name in report_builders(p.read_text())]
+    assert found == ["action.py:_report"]

@@ -27,7 +27,7 @@ from graphgrav import (
     verify_solution,
 )
 from graphgrav.dynamics import _tree_system
-from graphgrav.errors import BadParams, NotAnEdge, NotATree
+from graphgrav.errors import BadParams, NotAnEdge, NotATree, SingularJacobian
 from graphgrav.search import LOG_LENGTH_HI, LOG_LENGTH_LO, MAX_LOG_STEP, _newton_run
 
 from conftest import teom_residual
@@ -330,6 +330,14 @@ class TestNewton:
         assert worst == pytest.approx(0.4)
         assert not converged
         assert iterations == 2
+
+    def test_jacobian_neither_solver_reads_is_refused(self):
+        # solve refuses [[0, nan], [0, nan]] as singular, and the least-squares
+        # SVD does not converge on it (LAPACK may print DLASCL lines to fd 2)
+        jac = np.array([[0.0, math.nan], [0.0, math.nan]])
+        with pytest.raises(SingularJacobian, match="cannot solve the Newton system") as info:
+            _newton_run(lambda x: np.ones(2), lambda x: jac, np.zeros(2), lambda x, worst: False)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
     def test_run_stops_on_the_residual_read_at_its_exponent(self):
         # r(x) = x^3 from x = 1/2: each step multiplies x by 2/3, so after 4
