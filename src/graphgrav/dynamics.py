@@ -131,17 +131,14 @@ def _tree_system(g, interior, free, fixed):
     return residual, jacobian
 
 
-def _unit_exponent(log2_sum, n):
-    """k = -round(mean log2 l) for n lengths whose log2 sum to ``log2_sum``."""
-    return -round(log2_sum / n) if n else 0
-
-
-def _unit_scaled(lengths):
-    """(lengths * 2^k, k), k = `_unit_exponent`.  A power of two scales a
-    float exactly, so the residual, of degree 1 in the lengths, is 2^k times
-    its value at the given lengths wherever l*l and 1/(l*l) stay finite there,
-    and finite at every common scale of the lengths; c/(d P) is unchanged."""
-    k = _unit_exponent(sum(map(math.log2, lengths.values())), len(lengths))
+def _unit_scaled(lengths, skip=()):
+    """(lengths * 2^k, k): k = -round(mean log2 l) over the lengths of the edges
+    not in ``skip`` (0 if none), by ``math.fsum``, so k does not depend on their
+    order.  A power of two scales a float exactly, so the residual, of degree 1
+    in the lengths, is 2^k times its value at the given lengths wherever l*l and
+    1/(l*l) stay finite there; c/(d P) is unchanged."""
+    logs = [math.log2(ell) for key, ell in lengths.items() if key not in skip]
+    k = -round(math.fsum(logs) / len(logs)) if logs else 0
     return {key: math.ldexp(ell, k) for key, ell in lengths.items()}, k
 
 
@@ -154,13 +151,14 @@ def _require_tol(tol):
 def verify_solution(g: WeightedGraph, setting: Setting, tol: float = 1e-9) -> EomReport:
     """Residual of every interior edge.  A residual is a length: a solution
     keeps them all below tol (positive and finite) times the power of two
-    nearest the lengths' geometric mean, so it stays a solution under
+    nearest the geometric mean of the leaf (non-interior) edges' lengths, the
+    data ``newton_solve_teom`` holds fixed, so it stays a solution under
     ``scale_setting``."""
     _require_tol(tol)
     _require_tree(g)
     _require_edges(g, setting.lengths)
     interior = interior_edges(g)
-    lengths, k = _unit_scaled(setting.lengths)
+    lengths, k = _unit_scaled(setting.lengths, set(interior))
     residual, _ = _tree_system(g, interior, (), lengths)
     values = residual(()).tolist()  # no free log-lengths
     worst = max(map(abs, values), default=0.0)

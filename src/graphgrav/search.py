@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .action import action_plain
-from .dynamics import Setting, _require_tol, _require_tree, _tree_system, _unit_exponent, _unit_scaled, interior_edges
+from .dynamics import Setting, _require_tol, _require_tree, _tree_system, _unit_scaled, interior_edges
 from .errors import BadParams, SingularJacobian
 from .graph import GeodesicTable, WeightedGraph, _require_edges
 
@@ -58,8 +58,9 @@ def newton_solve_teom(
     the boundary lengths plus U[-0.3, 0.3], drawn from ``seed``.
 
     The run reads the boundary and ``init`` scaled exactly by the power of
-    two that brings the boundary's geometric mean nearest 1, and scales its
-    result back; at that scale free lengths are confined to [1e-6, 1e3].
+    two that brings the leaf edges' geometric mean nearest 1, the scale at
+    which ``verify_solution`` reads tol, so a run stops on that same test, and
+    scales its result back; at that scale free lengths lie in [1e-6, 1e3].
     The truncated equations have spurious residual valleys in which a
     cluster of sibling edges shrinks to zero together; their residuals fall
     below any usable tolerance only outside this box, so the box keeps a
@@ -82,39 +83,26 @@ def newton_solve_teom(
         if key not in init:
             raise BadParams(f"init must give a length for free edge {key!r}")
     import numpy as np
-    fixed, k = _unit_scaled(boundary.lengths)
-    log_fixed = float(np.sum([math.log(v) for v in fixed.values()]))
-    anchor = log_fixed / len(fixed) if fixed else 0.0
-
-    in_order = {**g.lengths(), **boundary.lengths}  # g.edges order, as the command line writes them
-
-    def lengths_at(x):  # the lengths reported for x; np.exp, as the residual reads x
-        return {**in_order, **dict(zip(free, (math.ldexp(ell, -k) for ell in np.exp(x).tolist())))}
-
-    def passes(x, worst):
-        """verify_solution's verdict on lengths_at(x), whose largest residual
-        is worst * 2^-k.  Their power of two is within 1 of the one read from
-        x, so only a residual within a factor 4 of tol needs the lengths."""
-        e = _unit_exponent((log_fixed + float(np.sum(x))) / math.log(2.0), len(fixed) + len(free))
-        if math.ldexp(worst, e - 1) < tol <= math.ldexp(worst, e + 1):
-            e = _unit_scaled(lengths_at(x))[1] - k
-        return math.ldexp(worst, e) < tol
-
+    fixed, k = _unit_scaled(boundary.lengths, interior_set)
+    anchor = float(np.sum([math.log(v) for v in fixed.values()])) / len(fixed) if fixed else 0.0
     residual, jacobian = _tree_system(g, interior, free, fixed)
     rng = best = None
-    for start in range(restarts + 1 if free else 1):
+    for start in range(restarts + 1):
         if start == 0 and init is not None:
             x0 = np.array([math.log(math.ldexp(init[key], k)) for key in free], dtype=float)
         else:
             rng = rng or np.random.default_rng(seed)
             x0 = anchor + rng.uniform(-0.3, 0.3, size=len(free))
-        x, worst, iterations, converged = _newton_run(residual, jacobian, x0, passes)
+        x, worst, iterations, converged = _newton_run(residual, jacobian, x0, tol)
         if best is None or converged or worst < best[1]:
             best = (x, worst, iterations, converged, start)
         if converged:
             break
     x, worst, iterations, converged, start = best
-    return SearchResult(Setting(lengths_at(x)), math.ldexp(worst, -k), iterations, converged, start, _on_box(x, False))
+    # in g.edges order, as the command line writes them; ldexp undoes the scaling exactly
+    found = dict(zip(free, (math.ldexp(ell, -k) for ell in np.exp(x).tolist())))
+    setting = Setting({**g.lengths(), **boundary.lengths, **found})
+    return SearchResult(setting, math.ldexp(worst, -k), iterations, converged, start, _on_box(x, False))
 
 
 def _to_box(x):
@@ -129,9 +117,9 @@ def _on_box(x, free_scale):
     return bool(low and high if free_scale else low or high)
 
 
-def _newton_run(residual, jacobian, x, passes):
+def _newton_run(residual, jacobian, x, tol):
     """One damped Newton descent; returns (x, max_abs_residual, iterations, converged),
-    and stops once converged: passes(x, max_abs_residual).  Each damped trial is
+    and stops once converged: max_abs_residual < tol.  Each damped trial is
     projected onto the box, so every iterate stays in it."""
     import numpy as np
     if not np.array_equal(_to_box(x), x):
@@ -139,7 +127,7 @@ def _newton_run(residual, jacobian, x, passes):
     res = residual(x)
     for iterations in range(MAX_NEWTON_ITER + 1):
         worst = float(np.max(np.abs(res), initial=0.0))
-        converged = passes(x, worst)  # a NaN residual does not pass
+        converged = worst < tol  # a NaN residual does not pass
         if converged or iterations == MAX_NEWTON_ITER or not x.size:
             break
         jac = jacobian(x)

@@ -80,7 +80,7 @@ def neighbor_distribution(geo: GeodesicTable, i, t: float) -> Distribution:
     _, inv2, pairs = geo.walk(i)
     mass = {i: 1.0 - t}
     for w, p in pairs:
-        mass[w] = mass.get(w, 0.0) + t / (p * p) / inv2
+        mass[w] = t / (p * p) / inv2  # a simple graph lists w once, never as i
     return Distribution(mass)
 
 

@@ -68,6 +68,50 @@ class TestResiduals:
         assert rep.is_solution
         assert rep.max_abs_residual <= 1e-15 * length
 
+    def test_tol_is_read_at_the_leaf_edges_power_of_two(self):
+        # leaves at 1 and interior edges at 1/16: tol is read at the leaves'
+        # scale 2^0, not at the geometric mean of every length
+        g = gen_tree(2, 3)
+        interior = set(interior_edges(g))
+        setting = Setting({key: 1 / 16 if key in interior else 1.0 for key in g.edges})
+        worst = verify_solution(g, setting).max_abs_residual
+        assert worst == pytest.approx(0.00811, rel=1e-3)
+        assert verify_solution(g, setting, tol=2.0 * worst).is_solution
+        # at 2^0 the residual is read as it is, and tol is a strict bound
+        assert not verify_solution(g, setting, tol=worst).is_solution
+
+    def test_default_tol_is_1e_9(self):
+        # one interior edge 1e-9 off the constant: the residual, 1.33e-9,
+        # fails the default tol and passes 2e-9
+        g = gen_tree(2, 3)
+        lengths = constant_setting(g, 1.0).lengths
+        lengths[interior_edges(g)[0]] = 1.0 + 1e-9
+        report = verify_solution(g, Setting(lengths))
+        assert 1e-9 < report.max_abs_residual < 2e-9 and not report.is_solution
+        assert verify_solution(g, Setting(lengths), tol=2e-9).is_solution
+
+    def test_verdict_does_not_depend_on_key_order(self):
+        # the leaves' log2 sum to 6 = 12 * 1/2: a plain sum lands above or
+        # below it by key order, so its mean rounds to 0 or 1, and at a tol
+        # between the residual's readings at 2^0 and 2^-1 the verdict would
+        # follow; fsum sums exactly, whatever the order
+        g = gen_tree(2, 3)
+        interior = set(interior_edges(g))
+        leaves = [key for key in g.edges if key not in interior]
+        rng = random.Random(0)
+        logs = [rng.uniform(-3.0, 3.0) for _ in leaves[1:]]
+        logs.append(len(leaves) / 2 - math.fsum(logs))
+        lengths = {key: 2.0**a for key, a in zip(leaves, logs)}
+        lengths.update({key: math.exp(rng.uniform(-0.5, 0.5)) for key in interior})
+        orders = [rng.sample(list(lengths), len(lengths)) for _ in range(20)]
+        plain = {round(sum(math.log2(lengths[k]) for k in order if k not in interior) / len(leaves)) for order in orders}
+        assert plain == {0, 1}
+        tol = 0.75 * verify_solution(g, Setting(lengths)).max_abs_residual
+        report = verify_solution(g, Setting(lengths), tol=tol)
+        assert not report.is_solution
+        for order in orders:
+            assert verify_solution(g, Setting({key: lengths[key] for key in order}), tol=tol) == report
+
     def test_alternating_ratios_solve(self):
         g, s = t1_setting([2.0, 3.0, 2.0, 3.0, 3.0, 2.0])
         assert verify_solution(g, s).is_solution

@@ -339,3 +339,40 @@ def test_only_the_builder_makes_action_reports():
     package = ROOT / "src" / "graphgrav"
     found = [f"{p.name}:{name}" for p in sorted(package.glob("*.py")) for name in report_builders(p.read_text())]
     assert found == ["action.py:_report"]
+
+
+def power_of_two_readers(source):
+    """Top-level definitions of ``source`` that read ``round`` or ``log2``,
+    bare or as an attribute (``math.log2``), called or passed on (``map``),
+    closures included; a read outside them is ``<module>``."""
+    def reads(node):
+        return (
+            isinstance(node, ast.Name) and node.id in ("round", "log2")
+            or isinstance(node, ast.Attribute) and node.attr == "log2"
+        )
+
+    return [
+        node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.parse(source).body
+        if any(map(reads, ast.walk(node)))
+    ]
+
+
+def test_finds_a_power_of_two_read_outside_its_rule():
+    source = (
+        "from math import log2\n\n"
+        "def _unit_scaled(x):\n    return -round(math.log2(x))\n\n"
+        "def exponent(xs):\n    def later():\n        return sum(map(log2, xs))\n    return later\n\n"
+        "def digits(x):\n    return f'{x:.3f}'\n\n"
+        "HALF = round(0.5)\n"
+    )
+    assert power_of_two_readers(source) == ["_unit_scaled", "exponent", "<module>"]
+
+
+def test_one_power_of_two_rule():
+    """One rule for the scale at which a tolerance is read: the nearest
+    power of two, -round(mean log2 l), is taken by ``dynamics._unit_scaled``
+    alone, so Newton's stop and ``verify_solution`` cannot read two."""
+    package = ROOT / "src" / "graphgrav"
+    found = [f"{p.name}:{name}" for p in sorted(package.glob("*.py")) for name in power_of_two_readers(p.read_text())]
+    assert found == ["dynamics.py:_unit_scaled"]

@@ -26,9 +26,9 @@ from graphgrav import (
     nogo_indicator,
     verify_solution,
 )
-from graphgrav.dynamics import _tree_system
+from graphgrav.dynamics import _tree_system, _unit_scaled
 from graphgrav.errors import BadParams, NotAnEdge, NotATree, SingularJacobian
-from graphgrav.search import LOG_LENGTH_HI, LOG_LENGTH_LO, MAX_LOG_STEP, _newton_run
+from graphgrav.search import LOG_LENGTH_HI, LOG_LENGTH_LO, MAX_LOG_STEP, MAX_NEWTON_ITER, _newton_run
 
 from conftest import teom_residual
 
@@ -259,11 +259,11 @@ class TestNewton:
             converged += res.converged
         assert converged == 100
 
-    @pytest.mark.parametrize("seed, iterations", [(83, 7), (393, 6)])
+    @pytest.mark.parametrize("seed, iterations", [(83, 6), (393, 5)])
     def test_run_goes_on_until_its_verdict_passes(self, seed, iterations):
-        # the last start's residual falls below tol at the boundary's power of
-        # two one step before it does at the lengths' own, one power of two
-        # higher, which verify_solution reads
+        # the lengths' own power of two is one below the leaf edges', at which
+        # both the run and verify_solution read tol, so the last start stops
+        # on the first step below tol there and its setting passes
         g = gen_tree(2, 3)
         interior = interior_edges(g)
         rng = random.Random(seed)
@@ -271,22 +271,45 @@ class TestNewton:
         boundary = {key: math.exp(rng.uniform(lo, hi)) for key in g.edges if key not in interior}
         res = newton_solve_teom(g, Setting(boundary), tol=1e-7, restarts=2, seed=0)
         assert (res.converged, res.iterations, res.restarts_used) == (True, iterations, 2)
-        assert verify_solution(g, res.setting, tol=1e-7).is_solution
+        report = verify_solution(g, res.setting, tol=1e-7)
+        assert report.is_solution and report.max_abs_residual == res.objective
+        assert _unit_scaled(res.setting.lengths)[1] == _unit_scaled(boundary)[1] + 1
 
     def test_verdict_reads_the_power_of_two_of_the_reported_lengths(self):
-        # at the boundary sqrt(2) the mean log2 of the lengths is 1/2: a sum
-        # of natural logs over ln 2 and verify_solution's sum of log2 round it
-        # to powers of two a factor 2 apart, and the run at 6 iterations
-        # (1.33e-15) passes the first reading only; the reported setting, in
-        # g.edges order as the command line writes it, is judged by the second
+        # at the boundary sqrt(2) the leaf edges' mean log2 is just above 1/2,
+        # so tol is read at 2^-1: the run stops at 6 iterations on a residual
+        # of 1.33e-15, which reads 6.7e-16 there, and verify_solution reads
+        # the reported setting, in g.edges order as the command line writes
+        # it, at the same power of two
         g = gen_tree(2, 3)
         interior = interior_edges(g)
         boundary = Setting({key: math.sqrt(2.0) for key in g.edges if key not in interior})
         res = newton_solve_teom(g, boundary, tol=1e-15, seed=0)
         report = verify_solution(g, res.setting, tol=1e-15)
-        assert (res.converged, report.is_solution) == (True, True)
-        assert res.objective == report.max_abs_residual < 1.33e-15
+        assert (res.converged, report.is_solution, res.iterations) == (True, True, 6)
+        assert 1e-15 < res.objective == report.max_abs_residual < 2e-15
         assert list(res.setting.lengths) == list(g.edges)
+
+    def test_verdict_holds_with_interior_edges_fixed(self):
+        # fixing interior edges too leaves tol read at the leaf edges' power of
+        # two, here one below that of every fixed length, for the run as for
+        # verify_solution
+        g = gen_tree(2, 3)
+        interior = interior_edges(g)
+        rng = random.Random(83)
+        lo, hi = math.log(0.05), math.log(20.0)
+        leaves = {key: math.exp(rng.uniform(lo, hi)) for key in g.edges if key not in interior}
+        solution = newton_solve_teom(g, Setting(leaves), tol=1e-13, restarts=5, seed=0)
+        boundary = Setting({key: solution.setting[key] for key in g.edges if key != interior[0]})
+        init = Setting({interior[0]: 1.01 * solution.setting[interior[0]]})
+        assert _unit_scaled(boundary.lengths)[1] == _unit_scaled(leaves)[1] + 1
+        verdicts = []
+        for u in range(-16, 17):
+            tol = solution.objective * 2.0 ** (u / 8)
+            res = newton_solve_teom(g, boundary, init, tol=tol)
+            assert res.converged == verify_solution(g, res.setting, tol=tol).is_solution
+            verdicts.append(res.converged)
+        assert True in verdicts and False in verdicts
 
     def test_missing_boundary_rejected(self):
         g = gen_tree(2, 2)
@@ -325,7 +348,7 @@ class TestNewton:
         def jacobian(x):
             return np.array([[1.0, 1.0], [2.0, 2.0]])
 
-        x, worst, iterations, converged = _newton_run(residual, jacobian, np.zeros(2), lambda x, worst: worst < 1e-12)
+        x, worst, iterations, converged = _newton_run(residual, jacobian, np.zeros(2), 1e-12)
         assert x == pytest.approx([0.3, 0.3])
         assert worst == pytest.approx(0.4)
         assert not converged
@@ -336,23 +359,31 @@ class TestNewton:
         # SVD does not converge on it (LAPACK may print DLASCL lines to fd 2)
         jac = np.array([[0.0, math.nan], [0.0, math.nan]])
         with pytest.raises(SingularJacobian, match="cannot solve the Newton system") as info:
-            _newton_run(lambda x: np.ones(2), lambda x: jac, np.zeros(2), lambda x, worst: False)
+            _newton_run(lambda x: np.ones(2), lambda x: jac, np.zeros(2), 1e-12)
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
-    def test_run_stops_on_the_residual_read_at_its_exponent(self):
+    def test_run_stops_on_the_first_residual_below_tol(self):
         # r(x) = x^3 from x = 1/2: each step multiplies x by 2/3, so after 4
-        # steps |r| = (1/8)(8/27)^4 = 9.6e-4 < 1e-3, but read one power of two
-        # up it is 1.9e-3, and only a fifth step brings 2|r| below 1e-3
-        def run(exponent):
-            def passes(x, worst):
-                return math.ldexp(worst, exponent) < 1e-3
+        # steps |r| = (1/8)(8/27)^4 = 9.6e-4 < 1e-3, but not below 5e-4,
+        # which only a fifth step brings it under
+        def run(tol):
+            return _newton_run(lambda x: x**3, lambda x: np.diag(3.0 * x * x), np.array([0.5]), tol)
 
-            return _newton_run(lambda x: x**3, lambda x: np.diag(3.0 * x * x), np.array([0.5]), passes)
+        _, worst, iterations, converged = run(1e-3)
+        assert (iterations, converged) == (4, True) and worst > 5e-4
+        # tol is a strict bound: a residual equal to it takes one more step
+        assert run(worst)[2:] == (5, True)
+        _, worst, iterations, converged = run(5e-4)
+        assert (iterations, converged) == (5, True) and worst < 5e-4
 
-        _, worst, iterations, converged = run(0)
-        assert (iterations, converged) == (4, True) and 2.0 * worst > 1e-3
-        _, worst, iterations, converged = run(1)
-        assert (iterations, converged) == (5, True) and 2.0 * worst < 1e-3
+    def test_run_ends_at_the_iteration_cap(self):
+        # r(x) = x with a Jacobian 1000 times too steep: each step takes 1/1000
+        # of x off, so the run ends unconverged at the cap on the residual of
+        # the x it returns
+        x, worst, iterations, converged = _newton_run(
+            lambda x: x, lambda x: np.diag(1e3 * np.ones_like(x)), np.ones(1), 1e-12)
+        assert (iterations, converged) == (MAX_NEWTON_ITER, False)
+        assert worst == x[0] == pytest.approx(0.999**MAX_NEWTON_ITER)
 
     @pytest.mark.parametrize("m", [9, -30, 500])
     @pytest.mark.parametrize("with_init", [True, False], ids=["init", "random-starts"])
@@ -420,6 +451,22 @@ class TestNewton:
         assert res.restarts_used == kept
         assert (res.objective, res.iterations) == (worst[kept], runs[kept][2])
 
+    def test_equal_residuals_keep_the_first_start(self):
+        # every edge fixed off the constant: each start reads the same
+        # residual, and the first is kept
+        g = gen_tree(2, 3)
+        lengths = {key: 1.0 for key in g.edges}
+        lengths[interior_edges(g)[0]] = 1.5
+        res = newton_solve_teom(g, Setting(lengths), restarts=2)
+        assert (res.converged, res.iterations, res.restarts_used) == (False, 0, 0)
+
+    def test_default_seed_is_42(self):
+        # with no init every start is drawn from the seed
+        g = gen_tree(2, 3)
+        boundary, _ = leaf_boundary(g)
+        res = newton_solve_teom(g, boundary)
+        assert res == newton_solve_teom(g, boundary, seed=42) != newton_solve_teom(g, boundary, seed=43)
+
     def test_run_kept_on_the_floor_is_flagged(self):
         # starts at e^{+-0.3} fall into the spurious valley of the docstring
         # and end with a free length at the floor of the box; converged runs
@@ -450,7 +497,7 @@ class TestNewton:
         # by the trust region and stop on the floor itself
         target = LOG_LENGTH_LO - 1.0
         x, worst, iterations, converged = _newton_run(
-            lambda x: x - target, lambda x: np.eye(1), np.zeros(1), lambda x, worst: worst < 1e-12)
+            lambda x: x - target, lambda x: np.eye(1), np.zeros(1), 1e-12)
         assert x[0] == LOG_LENGTH_LO and worst == 1.0 and not converged
         assert iterations == math.ceil(-LOG_LENGTH_LO / MAX_LOG_STEP) + 1
 
