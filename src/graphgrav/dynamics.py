@@ -6,20 +6,26 @@ is involved.  Leaves of a finite tree are read as the cut of a deeper tree:
 residuals are only defined on interior edges, whose endpoints both have their
 full neighborhoods present.
 
-The tree equation of motion is computed in one place, ``_tree_system``, over
-edge and half-edge index arrays: ``search.newton_solve_teom`` drives it over
-the free lengths, and ``verify_solution`` evaluates it with every edge fixed.
-``nogo_indicator`` reads its vertex sums from the same helper.  Each function
-that builds or reads arrays imports numpy itself, so importing this module does not.
+The tree equation of motion is computed in one place, ``_tree_system``, from
+the tree's lengths-free index (``_tree_index``): edge positions, half-edges and
+the Jacobian's pattern, built on a graph's first call and kept while it lives.
+``search.newton_solve_teom`` drives the system over the free lengths,
+``verify_solution`` evaluates it with every edge fixed, and ``nogo_indicator``
+reads its vertex sums from the same index.  Each function that builds or reads
+arrays imports numpy itself, so importing this module does not.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .errors import BadParams, NotATree
 from .graph import Region, WeightedGraph, _check_length, _require_edges, edge_key
+
+_INDEXES = weakref.WeakKeyDictionary()  # tree -> its _build_index, which holds no reference to it
 
 
 @dataclass(frozen=True)
@@ -55,78 +61,88 @@ def _require_tree(g):
 def interior_edges(g: WeightedGraph):
     """Edges whose endpoints both have their full neighborhoods present,
     i.e. neither endpoint is a leaf of the truncation."""
-    return tuple(
-        (u, v) for u, v in g.edges if g.degree(u) > 1 and g.degree(v) > 1
+    return tuple((u, v) for u, v in g.edges if g.degree(u) > 1 and g.degree(v) > 1)
+
+
+def _build_index(g):
+    """What the system of tree g reads that does not depend on lengths, shared
+    by every call on g, which only reads it.  ``interior`` numbers the interior
+    edges (the rows) in ``g.edges`` order and ``slot`` the vertices in
+    ``g.vertices`` order; ``pair`` and ``rows`` hold each row's end slots and
+    edge position, and ``pattern`` (row, end slot, column) wherever an interior
+    edge, taken as a column in row order, meets a row's edge at that end.
+    ``place`` and ``ratios`` read lengths by position."""
+    import numpy as np
+    position = {key: p for p, key in enumerate(g.edges)}
+    interior = {key: r for r, key in enumerate(interior_edges(g))}
+    slot = {v: s for s, v in enumerate(g.vertices)}
+    half = [(slot[v], position[edge_key(v, w)]) for v in slot for w in g.neighbors(v)]
+    at, col = np.array(half, dtype=int).reshape(-1, 2).T
+    pattern = [(interior[k], slot[w], c) for c, key in enumerate(interior) for w in key
+               for k in (edge_key(w, u) for u in g.neighbors(w)) if k in interior]
+
+    def place(lengths):  # the lengths at their edges' g.edges positions, NaN where none is given
+        ell = np.full(len(position), np.nan)
+        ell[[position[key] for key in lengths]] = list(lengths.values())
+        return ell
+
+    def ratios(ell):
+        # (rho, d) at every slot: c, d sum 1/l, 1/l^2 over its half-edges (at, col) in
+        # g.neighbors order, rho = c/d; bincount adds in input order, as a scalar loop
+        d = np.bincount(at, (1.0 / (ell * ell))[col])
+        return np.bincount(at, (1.0 / ell)[col]) / d, d
+
+    return SimpleNamespace(
+        interior=interior, slot=slot, place=place, ratios=ratios,
+        pair=np.array([[slot[key[s]] for key in interior] for s in (0, 1)], dtype=int),
+        rows=np.array([position[key] for key in interior], dtype=int),
+        pattern=np.array(pattern, dtype=int).reshape(-1, 3).T,
     )
 
 
-def _vertex_ratios(g, vertices, index):
-    """(rho, d) at ``vertices`` as a function of the length array, whose entry
-    index[key] is the length of edge key: c and d sum 1/l and 1/l^2 over the
-    half-edges, in ``g.neighbors`` order, and rho = c/d.  np.bincount adds in
-    input order, so these are the floats of a scalar loop over neighbours."""
-    import numpy as np
-    half_edges = []
-    for k, v in enumerate(vertices):
-        for w in g.neighbors(v):
-            key = edge_key(v, w)
-            if key not in index:
-                raise BadParams(f"setting does not cover edge {key!r}")
-            half_edges.append((k, index[key]))
-    at, col = np.array(half_edges, dtype=int).reshape(-1, 2).T
-
-    def ratios(ell):
-        d = np.bincount(at, (1.0 / (ell * ell))[col], len(vertices))
-        return np.bincount(at, (1.0 / ell)[col], len(vertices)) / d, d
-
-    return ratios
+def _tree_index(g):
+    """``_build_index(g)``, built on the first call for g and dropped with g."""
+    return _INDEXES.get(g) or _INDEXES.setdefault(g, _build_index(g))
 
 
-def _tree_system(g, interior, free, fixed):
+def _tree_system(g, free, fixed):
     """The tree equation of motion at every interior edge (i, j),
 
         (rho_i^2 + rho_j^2) / P - rho_i - rho_j,   rho = c/d,
 
-    and its exact Jacobian, as functions of the free log-lengths x.
-
-    Lengths sit in one array, the ``fixed`` map's first and the free edges'
-    after them; residual row r belongs to ``interior[r]``.  Vertex sums are
-    taken only at the ends of interior edges, whose degrees exceed 1.
+    and its exact Jacobian, as functions of the log-lengths x of the ``free``
+    interior edges.  Lengths sit in one array at their ``g.edges`` positions:
+    the ``fixed`` map fills it once, x the free entries on each call.  Row r
+    belongs to the r-th interior edge; the tree's index gives every position.
     """
     import numpy as np
-    index = {key: k for k, key in enumerate([*fixed, *free])}
-    ends = list(dict.fromkeys(v for key in interior for v in key))
-    ratios = _vertex_ratios(g, ends, index)
-    slot = {v: k for k, v in enumerate(ends)}
-    pair = np.array([[slot[key[s]] for key in interior] for s in (0, 1)], dtype=int)
-    rows = np.array([index[key] for key in interior], dtype=int)
-    fixed_lengths = np.array(list(fixed.values()), dtype=float)
+    index = _tree_index(g)
+    ell = index.place(fixed)  # each call rewrites every free entry from its x
+    free_rows = [index.interior[key] for key in free]
+    free_at = index.rows[free_rows]
 
     def residual(x):
-        ell = np.concatenate([fixed_lengths, np.exp(x)])
-        ri, rj = ratios(ell)[0][pair]
-        return (ri * ri + rj * rj) / ell[rows] - ri - rj
+        ell[free_at] = np.exp(x)
+        ri, rj = index.ratios(ell)[0][index.pair]
+        return (ri * ri + rj * rj) / ell[index.rows] - ri - rj
 
-    # Jacobian entries (row, w, col): free edge col meets the row's edge at its
-    # end w; built from the free edges, so an all-fixed system builds none
-    row_of = {key: r for r, key in enumerate(interior)}
-    entries = [
-        (row_of[k], slot[w], col)
-        for col, key in enumerate(free) for w in key
-        for k in (edge_key(w, u) for u in g.neighbors(w)) if k in row_of
-    ]
-    e_row, e_vertex, e_col = np.array(entries, dtype=int).reshape(-1, 3).T
-    e_edge, e_free = rows[e_row], len(fixed) + e_col
-    shape = (len(interior), len(free))
+    # the pattern's entries in a free column, in the pattern's order, so that
+    # bincount adds as before; an all-fixed system keeps none
+    column = np.full(len(index.interior), -1)
+    column[free_rows] = range(len(free))
+    e_row, e_vertex, e_col = index.pattern[:, column[index.pattern[2]] >= 0]
+    e_edge, e_free, e_col = index.rows[e_row], index.rows[e_col], column[e_col]
+    shape = (len(index.interior), len(free))
+    cell, own = e_row * shape[1] + e_col, e_edge == e_free
 
     def jacobian(x):
         # d rho_w/d x_f = (2 rho_w/l_f - 1)/(l_f d_w); a free row's own P splits over its ends
-        ell = np.concatenate([fixed_lengths, np.exp(x)])
-        rho, d = ratios(ell)
+        ell[free_at] = np.exp(x)
+        rho, d = index.ratios(ell)
         p, ell_f, rho_w = ell[e_edge], ell[e_free], rho[e_vertex]
         drho = (2.0 * rho_w / ell_f - 1.0) / (ell_f * d[e_vertex])
-        values = (2.0 * rho_w / p - 1.0) * drho - (e_edge == e_free) * rho_w * rho_w / p
-        return np.bincount(e_row * shape[1] + e_col, values, shape[0] * shape[1]).reshape(shape)
+        values = (2.0 * rho_w / p - 1.0) * drho - own * rho_w * rho_w / p
+        return np.bincount(cell, values, shape[0] * shape[1]).reshape(shape)
 
     return residual, jacobian
 
@@ -157,12 +173,16 @@ def verify_solution(g: WeightedGraph, setting: Setting, tol: float = 1e-9) -> Eo
     _require_tol(tol)
     _require_tree(g)
     _require_edges(g, setting.lengths)
-    interior = interior_edges(g)
-    lengths, k = _unit_scaled(setting.lengths, set(interior))
-    residual, _ = _tree_system(g, interior, (), lengths)
+    index = _tree_index(g)
+    if index.interior and len(setting.lengths) < g.num_edges:  # then some edge at a row's end is missing
+        at_ends = (edge_key(v, w) for row in index.interior for v in row for w in g.neighbors(v))
+        key = next(key for key in at_ends if key not in setting.lengths)
+        raise BadParams(f"setting does not cover edge {key!r}")
+    lengths, k = _unit_scaled(setting.lengths, index.interior)
+    residual, _ = _tree_system(g, (), lengths)
     values = residual(()).tolist()  # no free log-lengths
     worst = max(map(abs, values), default=0.0)
-    residuals = {key: math.ldexp(r, -k) for key, r in zip(interior, values)}
+    residuals = {key: math.ldexp(r, -k) for key, r in zip(index.interior, values)}
     return EomReport(residuals, math.ldexp(worst, -k), worst < tol)
 
 
@@ -186,17 +206,18 @@ def nogo_indicator(g: WeightedGraph, region: Region, setting: Setting) -> float:
     compatible with the given boundary-incident lengths."""
     _require_tree(g)
     _require_edges(g, setting.lengths)
-    import numpy as np
     sigma = region.vertices
     boundary = sorted(region.boundary_vertices)
+    index = _tree_index(g)
     lengths, _ = _unit_scaled(setting.lengths)
-    ratios = _vertex_ratios(g, boundary, {key: k for k, key in enumerate(lengths)})
-    rho, _ = ratios(np.array(list(lengths.values()), dtype=float))
+    rho = index.ratios(index.place(lengths))[0].tolist()  # NaN at a vertex with an edge not given
     total = 0.0
-    for i, ratio in zip(boundary, rho.tolist()):
+    for i in boundary:
         for j in g.neighbors(i):
+            if edge_key(i, j) not in lengths:
+                raise BadParams(f"setting does not cover edge {edge_key(i, j)!r}")
             if j in sigma:
-                total += ratio / lengths[edge_key(i, j)] - 1.0
+                total += rho[index.slot[i]] / lengths[edge_key(i, j)] - 1.0
     return total
 
 

@@ -66,7 +66,7 @@ class WeightedGraph:
     input.
     """
 
-    __slots__ = ("_vertices", "_adj", "_lengths")
+    __slots__ = ("_vertices", "_adj", "_lengths", "__weakref__")  # weakref: dynamics' tree index
 
     def __init__(self, vertices, adj, lengths):
         self._vertices = tuple(vertices)

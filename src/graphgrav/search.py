@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .action import action_plain
-from .dynamics import Setting, _require_tol, _require_tree, _tree_system, _unit_scaled, interior_edges
+from .dynamics import Setting, _require_tol, _require_tree, _tree_index, _tree_system, _unit_scaled
 from .errors import BadParams, SingularJacobian
 from .graph import GeodesicTable, WeightedGraph, _require_edges
 
@@ -72,20 +72,19 @@ def newton_solve_teom(
     if seed < 0:
         raise BadParams(f"seed must be >= 0, got {seed}")
     _require_tree(g)
-    interior = interior_edges(g)
-    interior_set = set(interior)
+    interior = _tree_index(g).interior  # edge -> row, in interior order
     _require_edges(g, [*boundary.lengths, *(init.lengths if init is not None else ())])
-    for key in g.lengths():
-        if key not in interior_set and key not in boundary:
+    for key in g.edges:
+        if key not in interior and key not in boundary:
             raise BadParams(f"boundary must fix non-interior edge {key!r}")
     free = [key for key in interior if key not in boundary]
     for key in free if init is not None else ():
         if key not in init:
             raise BadParams(f"init must give a length for free edge {key!r}")
     import numpy as np
-    fixed, k = _unit_scaled(boundary.lengths, interior_set)
+    fixed, k = _unit_scaled(boundary.lengths, interior)
     anchor = float(np.sum([math.log(v) for v in fixed.values()])) / len(fixed) if fixed else 0.0
-    residual, jacobian = _tree_system(g, interior, free, fixed)
+    residual, jacobian = _tree_system(g, free, fixed)
     rng = best = None
     for start in range(restarts + 1):
         if start == 0 and init is not None:

@@ -142,7 +142,16 @@ class TestResiduals:
         g = gen_tree(2, 2)
         lengths = constant_setting(g, 1.0).lengths
         del lengths[next(iter(interior_edges(g)))]
-        with pytest.raises(BadParams, match="does not cover edge"):
+        with pytest.raises(BadParams, match=r"^setting does not cover edge \('0', '1'\)$"):
+            verify_solution(g, Setting(lengths))
+
+    def test_missing_lengths_named_at_the_interior_edges_ends(self):
+        # the ends are read in the interior edges' order, vertex 2 before 4,
+        # so ('2', '6') is named though ('10', '4') comes first in g.edges
+        g = gen_tree(2, 3)
+        lengths = constant_setting(g, 1.0).lengths
+        del lengths[("10", "4")], lengths[("2", "6")]
+        with pytest.raises(BadParams, match=r"^setting does not cover edge \('2', '6'\)$"):
             verify_solution(g, Setting(lengths))
 
     def test_non_tree_rejected(self):
@@ -252,6 +261,27 @@ class TestDegenerate:
         res = newton_solve_teom(g, s, Setting({}))
         assert (res.converged, res.iterations, res.restarts_used) == (True, 0, 0)
         assert res.setting.lengths == s.lengths
+
+    @pytest.mark.parametrize(
+        "g", [gen_tree(3, 1), build_graph(["a", "b"], [("a", "b", 1.0)])], ids=["star", "edge"]
+    )
+    def test_partial_setting_is_read(self, g):
+        # no row reads a vertex sum, so no length is required
+        for given in range(g.num_edges):
+            rep = verify_solution(g, Setting({key: 2.0 for key in g.edges[:given]}))
+            assert (rep.residuals, rep.max_abs_residual, rep.is_solution) == ({}, 0.0, True)
+
+    def test_nogo_names_the_first_missing_length_at_a_boundary_vertex(self):
+        g = gen_tree(3, 1)  # centre "0", leaves "1" to "4"
+        region = extract_region(g, ["0", "1", "2", "3"])  # "0" is its one boundary vertex
+        lengths = {key: 2.0**k for k, key in enumerate(g.edges)}
+        assert nogo_indicator(g, region, Setting(lengths)) == nogo_sum(g, region, Setting(lengths)) != 0.0
+        del lengths[("0", "4")]  # leaves the region, but its length enters c and d at "0"
+        with pytest.raises(BadParams, match=r"^setting does not cover edge \('0', '4'\)$"):
+            nogo_indicator(g, region, Setting(lengths))
+        del lengths[("0", "2")]
+        with pytest.raises(BadParams, match=r"^setting does not cover edge \('0', '2'\)$"):
+            nogo_indicator(g, region, Setting(lengths))
 
     def test_single_vertex(self):
         rep = verify_solution(build_graph(["a"], []), Setting({}))

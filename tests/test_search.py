@@ -1,9 +1,11 @@
+import gc
 import math
 import os
 import random
 import re
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -26,7 +28,8 @@ from graphgrav import (
     nogo_indicator,
     verify_solution,
 )
-from graphgrav.dynamics import _tree_system, _unit_scaled
+from graphgrav import dynamics
+from graphgrav.dynamics import _tree_index, _tree_system, _unit_scaled
 from graphgrav.errors import BadParams, NotAnEdge, NotATree, SingularJacobian
 from graphgrav.search import LOG_LENGTH_HI, LOG_LENGTH_LO, MAX_LOG_STEP, MAX_NEWTON_ITER, _newton_run
 
@@ -72,7 +75,7 @@ def tree_system_at(g, lengths, fixed_interior=()):
     interior = [edge_key(u, v) for u, v in interior_edges(g)]
     free = [key for key in interior if key not in fixed_interior]
     fixed = {key: ell for key, ell in lengths.items() if key not in free}
-    residual, jacobian = _tree_system(g, interior, free, fixed)
+    residual, jacobian = _tree_system(g, free, fixed)
     return residual, jacobian, np.log([lengths[key] for key in free]), interior
 
 
@@ -112,6 +115,53 @@ class TestTreeSystem:
         np.testing.assert_allclose(residual(x), want, rtol=1e-12, atol=0.0)
 
 
+class TestTreeIndex:
+    """Each tree's lengths-free index is built on its first call, read by
+    every later one, and dropped with the tree."""
+
+    @staticmethod
+    def _calls():
+        """Newton with only the leaf edges fixed, Newton with 5 interior edges
+        fixed as well (overdetermined), ``verify_solution`` and
+        ``nogo_indicator``, each as a function of a fresh ``gen_tree(2, 4)``."""
+        t = gen_tree(2, 4)
+        leaves, interior = leaf_boundary(t)
+        rng = random.Random(4)
+        init = random_init(rng, sorted(interior))
+        five = Setting({**leaves.lengths, **random_init(rng, rng.sample(sorted(interior), 5)).lengths})
+        lengths = Setting({key: math.exp(rng.uniform(-1.0, 1.0)) for key in t.edges})
+        region = extract_region(t, [v for v in t.vertices if int(v) < 10])
+        return [
+            lambda g: newton_solve_teom(g, leaves, init),
+            lambda g: newton_solve_teom(g, five, init, restarts=1),
+            lambda g: verify_solution(g, lengths),
+            lambda g: nogo_indicator(g, region, lengths),
+        ]
+
+    def test_one_build_serves_every_call_bit_for_bit(self, monkeypatch):
+        built = []
+        build = dynamics._build_index
+        monkeypatch.setattr(dynamics, "_build_index", lambda g: built.append(g) or build(g))
+        shared = gen_tree(2, 4)
+        for call in self._calls():
+            # repr writes each float exactly, and -0.0 apart from 0.0
+            assert repr(call(shared)) == repr(call(gen_tree(2, 4)))
+        assert [g is shared for g in built] == [True, False, False, False, False]
+
+    def test_index_dies_with_its_tree(self):
+        # an index that held its tree, or a cycle through it, would keep
+        # every tree Newton ever saw until the cycle collector ran
+        g = gen_tree(2, 3)
+        refs = weakref.ref(g), weakref.ref(_tree_index(g).ratios)
+        assert _tree_index(g) is _tree_index(g)
+        gc.disable()
+        try:
+            del g
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+
+
 def test_import_leaves_scipy_optimize_unloaded():
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(graphgrav.__file__)))
     code = "import sys, graphgrav; print('scipy.optimize' in sys.modules)"
@@ -122,7 +172,8 @@ def test_import_leaves_scipy_optimize_unloaded():
 
 
 def test_numpy_loads_only_when_an_array_path_runs():
-    """The package, its command line and the curvature and action paths run
+    """The package, its command line, the curvature and action paths, and the
+    set-up of a Newton run (``interior_edges`` and a boundary ``Setting``) run
     on the standard library; Newton loads numpy on its first call."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(graphgrav.__file__)))
     code = (
@@ -134,13 +185,15 @@ def test_numpy_loads_only_when_an_array_path_runs():
         "seen.append('numpy' in sys.modules)\n"
         "t = graphgrav.gen_tree(2, 3)\n"
         "inner = set(graphgrav.interior_edges(t))\n"
-        "graphgrav.newton_solve_teom(t, graphgrav.Setting({k: 1.0 for k in t.edges if k not in inner}))\n"
+        "boundary = graphgrav.Setting({k: 1.0 for k in t.edges if k not in inner})\n"
+        "seen.append('numpy' in sys.modules)\n"
+        "graphgrav.newton_solve_teom(t, boundary)\n"
         "print(seen + ['numpy' in sys.modules])\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[False, False, True]"
+    assert out.stdout.strip() == "[False, False, False, True]"
 
 
 def test_unknown_objective_is_refused_before_scipy_loads():
