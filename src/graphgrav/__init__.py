@@ -18,12 +18,9 @@ from .curvature import (
 from .dynamics import (
     EomReport,
     Setting,
-    geometric_half_half_stats,
     interior_edges,
     nogo_indicator,
     scale_setting,
-    t1_next_ratios,
-    two_progression_x,
     verify_solution,
 )
 from .errors import GraphGravError
@@ -35,12 +32,14 @@ from .generators import (
     gen_cycle,
     gen_hex_region,
     gen_tree,
+    geometric_half_half_stats,
     half_half_setting,
     hex_strong_fixed_edges,
     matching_setting,
+    t1_next_ratios,
     t1_setting,
     two_progression_setting,
-    valid_t1_chain,
+    two_progression_x,
 )
 from .graph import (
     GeodesicTable,

@@ -23,7 +23,7 @@ import sys
 from . import reproduce as repro
 from .action import action_ghy, action_plain, action_region_plain, ratio_bounds, tree_action_hex
 from .curvature import edge_curvatures, kappa_t
-from .dynamics import Setting, two_progression_x, verify_solution
+from .dynamics import Setting, verify_solution
 from .errors import DuplicateEdge, GraphGravError
 from .generators import (
     HexRegionSpec,
@@ -36,6 +36,7 @@ from .generators import (
     half_half_setting,
     matching_setting,
     two_progression_setting,
+    two_progression_x,
 )
 from .graph import GeodesicTable, build_graph, edge_key, extract_region
 from .search import extremize_action, newton_solve_teom

@@ -7,8 +7,8 @@ residuals are only defined on interior edges, whose endpoints both have their
 full neighborhoods present.
 
 The tree equation of motion is computed in one place, ``_tree_system``, from
-the tree's lengths-free index (``_tree_index``): edge positions, half-edges and
-the Jacobian's pattern, built on a graph's first call and kept while it lives.
+the tree's lengths-free index (``_tree_index``), built on a graph's first call
+and kept while it lives; Newton's first system adds the Jacobian's pattern.
 ``search.newton_solve_teom`` drives the system over the free lengths,
 ``verify_solution`` evaluates it with every edge fixed, and ``nogo_indicator``
 reads its vertex sums from the same index.  Each function that builds or reads
@@ -66,20 +66,17 @@ def interior_edges(g: WeightedGraph):
 
 def _build_index(g):
     """What the system of tree g reads that does not depend on lengths, shared
-    by every call on g, which only reads it.  ``interior`` numbers the interior
-    edges (the rows) in ``g.edges`` order and ``slot`` the vertices in
-    ``g.vertices`` order; ``pair`` and ``rows`` hold each row's end slots and
-    edge position, and ``pattern`` (row, end slot, column) wherever an interior
-    edge, taken as a column in row order, meets a row's edge at that end.
-    ``place`` and ``ratios`` read lengths by position."""
+    by every call on g.  ``interior`` numbers the interior edges (the rows) in
+    ``g.edges`` order and ``slot`` the vertices in ``g.vertices`` order; ``pair``
+    and ``rows`` hold each row's end slots and edge position.  ``pattern`` stays
+    empty until ``_tree_system`` builds it for Newton.  ``place`` and ``ratios``
+    read lengths by position."""
     import numpy as np
     position = {key: p for p, key in enumerate(g.edges)}
     interior = {key: r for r, key in enumerate(interior_edges(g))}
     slot = {v: s for s, v in enumerate(g.vertices)}
     half = [(slot[v], position[edge_key(v, w)]) for v in slot for w in g.neighbors(v)]
     at, col = np.array(half, dtype=int).reshape(-1, 2).T
-    pattern = [(interior[k], slot[w], c) for c, key in enumerate(interior) for w in key
-               for k in (edge_key(w, u) for u in g.neighbors(w)) if k in interior]
 
     def place(lengths):  # the lengths at their edges' g.edges positions, NaN where none is given
         ell = np.full(len(position), np.nan)
@@ -96,7 +93,7 @@ def _build_index(g):
         interior=interior, slot=slot, place=place, ratios=ratios,
         pair=np.array([[slot[key[s]] for key in interior] for s in (0, 1)], dtype=int),
         rows=np.array([position[key] for key in interior], dtype=int),
-        pattern=np.array(pattern, dtype=int).reshape(-1, 3).T,
+        pattern=np.zeros((3, 0), dtype=int),
     )
 
 
@@ -126,6 +123,11 @@ def _tree_system(g, free, fixed):
         ri, rj = index.ratios(ell)[0][index.pair]
         return (ri * ri + rj * rj) / ell[index.rows] - ri - rj
 
+    if free and not index.pattern.size:  # Newton's first system on g; verification has no free edge
+        # (row, end slot, column) wherever an interior edge's column meets a row's edge at that end
+        index.pattern = np.array([(index.interior[k], index.slot[w], c) for key, c in index.interior.items()
+                                  for w in key for k in (edge_key(w, u) for u in g.neighbors(w))
+                                  if k in index.interior], dtype=int).reshape(-1, 3).T
     # the pattern's entries in a free column, in the pattern's order, so that
     # bincount adds as before; an all-fixed system keeps none
     column = np.full(len(index.interior), -1)
@@ -193,13 +195,6 @@ def scale_setting(setting: Setting, lam: float) -> Setting:
     return Setting({key: ell / lam for key, ell in setting.lengths.items()})
 
 
-def t1_next_ratios(r: float):
-    """Inverse-length ratios admissible after r on a line solution."""
-    if not 1 < r < math.inf:
-        raise BadParams(f"ratio must exceed 1, got {r}")
-    return tuple(sorted({r, (r + 1.0) / (r - 1.0)}))
-
-
 def nogo_indicator(g: WeightedGraph, region: Region, setting: Setting) -> float:
     """Sum over boundary vertices i and inward neighbors j of
     (c_i/d_i)/P_ij - 1.  A negative value certifies that no bulk solution is
@@ -219,40 +214,3 @@ def nogo_indicator(g: WeightedGraph, region: Region, setting: Setting) -> float:
             if j in sigma:
                 total += rho[index.slot[i]] / lengths[edge_key(i, j)] - 1.0
     return total
-
-
-def geometric_half_half_stats(q: int, r: float):
-    """Curvature and c^2/d ratio of the geometric half-half solution on the
-    degree-(q+1) tree with progression ratio r.
-
-    Returns ((3-q)/(1+q) - 2r/(1+r^2), (q+1)(1+r)^2 / (2(1+r^2))).
-    The formulas need an even vertex degree, so q must be odd.
-    """
-    if q < 1 or q % 2 == 0:
-        raise BadParams(f"q must be odd and >= 1, got {q}")
-    if not 0 < r < math.inf:
-        raise BadParams(f"progression ratio must be positive, got {r}")
-    kappa = (3.0 - q) / (1.0 + q) - 2.0 * r / (1.0 + r * r)
-    ratio = (q + 1.0) * (1.0 + r) ** 2 / (2.0 * (1.0 + r * r))
-    return kappa, ratio
-
-
-def two_progression_x(alpha: float, y: float):
-    """Roots x of  alpha*y*(y+1)*(x^2+1) = x*(x+1)*(y^2+1).
-
-    These are the admissible second ratios of a two-progression solution with
-    scale alpha and first ratio y; the caller filters for positivity.
-    """
-    if not alpha > 0 or not y > 0:
-        raise BadParams("alpha and y must be positive")
-    a = alpha * y * (y + 1.0) - (y * y + 1.0)
-    b = -(y * y + 1.0)
-    c = alpha * y * (y + 1.0)
-    if abs(a) < 1e-14 * (abs(b) + abs(c)):
-        # quadratic degenerates to a line (the constant solution sits here)
-        return (-c / b,)
-    disc = b * b - 4.0 * a * c
-    if disc < 0:
-        raise BadParams(f"discriminant {disc} is negative")
-    root = math.sqrt(disc)
-    return tuple(sorted({(-b - root) / (2.0 * a), (-b + root) / (2.0 * a)}))

@@ -1,14 +1,15 @@
 """Constructors for the graph families and edge-length families under study:
 regular-tree truncations, complete graphs, cycles, hexagonal-lattice regions,
-perfect-matching settings, line-solution chains, half-half settings, and
-two-progression settings.
+perfect-matching settings, and the paper's tree solution families with their
+formulas: line chains, and half-half and two-progression settings on one walk.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .dynamics import Setting, t1_next_ratios
+from .dynamics import Setting
 from .errors import BadParams, TooLarge
 from .graph import Region, WeightedGraph, _require_edges, build_graph, edge_key, extract_region
 
@@ -122,7 +123,14 @@ def matching_setting(g: WeightedGraph, m: frozenset, eps: float) -> Setting:
 
 
 # ---------------------------------------------------------------------------
-# line solutions and half-half settings
+# the tree solution families: line chains, half-half and two-progression
+
+
+def t1_next_ratios(r: float):
+    """Inverse-length ratios admissible after r on a line solution."""
+    if not 1 < r < math.inf:
+        raise BadParams(f"ratio must exceed 1, got {r}")
+    return tuple(sorted({r, (r + 1.0) / (r - 1.0)}))
 
 
 def t1_setting(ratios):
@@ -144,14 +152,35 @@ def t1_setting(ratios):
     return g, Setting({edge_key(u, v): ell for u, v, ell in edges})
 
 
-def valid_t1_chain(r0: float, picks) -> list:
-    """Ratio chain over the admissible pair {r0, (r0+1)/(r0-1)}.
+def _class_walk(q: int, depth: int, classes: list, partner: dict):
+    """(parent, child, class) for every edge of gen_tree(q, depth), in
+    ``_tree_edges`` order.  A vertex's child edges take ``classes`` in order,
+    less one copy of the partner of the class its own parent edge took, as
+    that edge fills one of its slots; the root keeps every class."""
+    took = {}
+    for v, w, k in _tree_edges(q, depth):
+        if k == 0:
+            slots = list(classes)
+            if v in took:
+                slots.remove(partner[took[v]])
+        took[w] = slots[k]
+        yield v, w, took[w]
 
-    ``picks`` is an iterable of 0/1 choices selecting which of the two values
-    each step uses.
+
+def geometric_half_half_stats(q: int, r: float):
+    """Curvature and c^2/d ratio of the geometric half-half solution on the
+    degree-(q+1) tree with progression ratio r.
+
+    Returns ((3-q)/(1+q) - 2r/(1+r^2), (q+1)(1+r)^2 / (2(1+r^2))).
+    The formulas need an even vertex degree, so q must be odd.
     """
-    pair = t1_next_ratios(r0)
-    return [pair[p] for p in picks]
+    if q < 1 or q % 2 == 0:
+        raise BadParams(f"q must be odd and >= 1, got {q}")
+    if not 0 < r < math.inf:
+        raise BadParams(f"progression ratio must be positive, got {r}")
+    kappa = (3.0 - q) / (1.0 + q) - 2.0 * r / (1.0 + r * r)
+    ratio = (q + 1.0) * (1.0 + r) ** 2 / (2.0 * (1.0 + r * r))
+    return kappa, ratio
 
 
 def half_half_setting(q: int, depth: int, ratios) -> Setting:
@@ -190,13 +219,32 @@ def half_half_setting(q: int, depth: int, ratios) -> Setting:
 
     half = (q + 1) // 2
     level = {"0": 0}
-    went_up = {"0": True}  # the root counts as reached by a step up
     lengths = {}
-    for v, w, k in _tree_edges(q, depth):
-        went_up[w] = k < (half if went_up[v] else half - 1)
-        level[w] = level[v] + (1 if went_up[w] else -1)
+    for v, w, cls in _class_walk(q, depth, ["up"] * half + ["down"] * half, {"up": "down", "down": "up"}):
+        level[w] = level[v] + (1 if cls == "up" else -1)
         lengths[edge_key(v, w)] = level_len[min(level[v], level[w])]
     return Setting(lengths)
+
+
+def two_progression_x(alpha: float, y: float):
+    """Roots x of  alpha*y*(y+1)*(x^2+1) = x*(x+1)*(y^2+1).
+
+    These are the admissible second ratios of a two-progression solution with
+    scale alpha and first ratio y; the caller filters for positivity.
+    """
+    if not alpha > 0 or not y > 0:
+        raise BadParams("alpha and y must be positive")
+    a = alpha * y * (y + 1.0) - (y * y + 1.0)
+    b = -(y * y + 1.0)
+    c = alpha * y * (y + 1.0)
+    if abs(a) < 1e-14 * (abs(b) + abs(c)):
+        # quadratic degenerates to a line (the constant solution sits here)
+        return (-c / b,)
+    disc = b * b - 4.0 * a * c
+    if disc < 0:
+        raise BadParams(f"discriminant {disc} is negative")
+    root = math.sqrt(disc)
+    return tuple(sorted({(-b - root) / (2.0 * a), (-b + root) / (2.0 * a)}))
 
 
 def two_progression_setting(q: int, m: int, s: int, alpha: float, x: float, y: float, depth: int) -> Setting:
@@ -213,28 +261,13 @@ def two_progression_setting(q: int, m: int, s: int, alpha: float, x: float, y: f
     if depth < 1:
         raise BadParams("need depth >= 1")
     rel = {"u": 1.0, "x": float(x), "a": float(alpha), "ay": float(alpha) * float(y)}
-    # traversing a class: scale factor for the child, and which of the
-    # child's class slots the traversed edge occupies
-    step = {
-        "u": (1.0 / x, "x"),
-        "x": (float(x), "u"),
-        "a": (1.0 / y, "ay"),
-        "ay": (float(y), "a"),
-    }
+    factor = {"u": 1.0 / x, "x": float(x), "a": 1.0 / y, "ay": float(y)}  # the child's scale per class
+    classes = ["u"] * m + ["x"] * m + ["a"] * s + ["ay"] * s
     scale = {"0": 1.0}
-    spent = {"0": None}  # class slot used up by the parent edge
     lengths = {}
-    for v, w, k in _tree_edges(q, depth):
-        if k == 0:
-            quota = {"u": m, "x": m, "a": s, "ay": s}
-            if spent[v] is not None:
-                quota[spent[v]] -= 1
-            order = [cls for cls in ("u", "x", "a", "ay") for _ in range(quota[cls])]
-        cls = order[k]
+    for v, w, cls in _class_walk(q, depth, classes, {"u": "x", "x": "u", "a": "ay", "ay": "a"}):
         lengths[edge_key(v, w)] = scale[v] * rel[cls]
-        factor, occupied = step[cls]
-        scale[w] = scale[v] * factor
-        spent[w] = occupied
+        scale[w] = scale[v] * factor[cls]
     return Setting(lengths)
 
 

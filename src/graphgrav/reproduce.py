@@ -16,11 +16,9 @@ from .action import action_ghy, action_plain, ratio_bounds, tree_action_hex
 from .curvature import _kappa_transport, kappa_t, kappa_tree_closed
 from .dynamics import (
     Setting,
-    geometric_half_half_stats,
     interior_edges,
     nogo_indicator,
     scale_setting,
-    two_progression_x,
     verify_solution,
 )
 from .errors import GraphGravError
@@ -33,12 +31,14 @@ from .generators import (
     gen_cycle,
     gen_hex_region,
     gen_tree,
+    geometric_half_half_stats,
     half_half_setting,
     hex_strong_fixed_edges,
     matching_setting,
+    t1_next_ratios,
     t1_setting,
     two_progression_setting,
-    valid_t1_chain,
+    two_progression_x,
 )
 from .graph import GeodesicTable, build_graph, edge_key, extract_region, sigma_edges
 from .search import newton_solve_teom
@@ -214,15 +214,16 @@ def criterion_10() -> CriterionResult:
     rng = random.Random(SEED)
     ok = True
     notes = []
+    pair = t1_next_ratios(2.0)  # (2, 3): each step of a line solution takes one
     for trial in range(3):
-        chain = valid_t1_chain(2.0, [rng.randint(0, 1) for _ in range(12)])
+        chain = [pair[rng.randint(0, 1)] for _ in range(12)]
         g, s = t1_setting(chain)
         rep = verify_solution(g, s)
         ok &= rep.is_solution
     # breaking any position: rescale so the broken edge has unit length,
     # the residual there must be visible
     worst_break = math.inf
-    base = valid_t1_chain(2.0, [rng.randint(0, 1) for _ in range(12)])
+    base = [pair[rng.randint(0, 1)] for _ in range(12)]
     for pos in range(12):
         for rogue in (1.5, 2.5, 4.0):
             chain = list(base)

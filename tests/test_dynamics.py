@@ -22,7 +22,6 @@ from graphgrav import (
     t1_next_ratios,
     t1_setting,
     two_progression_x,
-    valid_t1_chain,
     verify_solution,
 )
 from graphgrav.cli import _setting_from_json, _setting_to_json
@@ -301,7 +300,8 @@ class TestScaling:
 
     @pytest.mark.parametrize("lam", [0.5, 2.0, 7.0])
     def test_solutions_stay_solutions(self, lam):
-        g, s = t1_setting(valid_t1_chain(2.0, [0, 1, 1, 0, 1]))
+        pair = t1_next_ratios(2.0)
+        g, s = t1_setting([pair[p] for p in [0, 1, 1, 0, 1]])
         assert verify_solution(g, scale_setting(s, lam)).is_solution
 
     @given(
@@ -358,7 +358,8 @@ class TestRatioFamily:
     def test_chain_lengths_monotonic(self, rng):
         from graphgrav import edge_key
 
-        chain = valid_t1_chain(2.0, [rng.randint(0, 1) for _ in range(10)])
+        pair = t1_next_ratios(2.0)
+        chain = [pair[rng.randint(0, 1)] for _ in range(10)]
         _, s = t1_setting(chain)
         ordered = [s[edge_key(str(k), str(k + 1))] for k in range(len(chain) + 1)]
         assert all(a > b for a, b in zip(ordered, ordered[1:]))
@@ -481,7 +482,8 @@ class TestHalfHalfEquivalence:
         # perturb one level of a geometric half-half setting; the tree
         # residuals must equal the line residuals level for level
         depth = 3
-        chain = valid_t1_chain(2.0, [0, 1, 0, 1, 0])
+        pair = t1_next_ratios(2.0)
+        chain = [pair[p] for p in [0, 1, 0, 1, 0]]
         hh = half_half_setting(3, depth, chain)
         g = gen_tree(3, depth)
         level_values = sorted(set(hh.lengths.values()), reverse=True)

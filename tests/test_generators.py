@@ -267,8 +267,14 @@ class TestT1Setting:
         assert set(s.lengths) == set(g.lengths())
 
     def test_rejects_nonpositive_ratio(self):
-        with pytest.raises(BadParams):
-            t1_setting([2.0, -1.0])
+        for r in (-1.0, 0.0):
+            with pytest.raises(BadParams, match="ratios must be positive"):
+                t1_setting([2.0, r])
+
+    def test_first_edge_has_unit_length(self):
+        # edge k+1's inverse length is ratios[k] times edge k's
+        _, s = t1_setting([4.0, 0.5])
+        assert [s[edge_key(str(k), str(k + 1))] for k in range(3)] == [1.0, 0.25, 0.5]
 
 
 class TestHalfHalf:
@@ -328,9 +334,19 @@ class TestHalfHalf:
         with pytest.raises(BadParams, match="ratio 2.5 is outside the admissible pair for r0=2.0"):
             half_half_setting(3, 3, [2.0, 3.0, 2.5, 2.0, 3.0])
 
+    def test_admissible_pair_is_read_within_1e_9(self):
+        half_half_setting(3, 3, [2.0, 3.0 + 5e-10, 3.0, 2.0, 3.0])
+        with pytest.raises(BadParams, match="outside the admissible pair"):
+            half_half_setting(3, 3, [2.0, 3.0 + 1.5e-9, 3.0, 2.0, 3.0])
+
     def test_rejects_depth_zero(self):
         with pytest.raises(BadParams):
             half_half_setting(3, 0, 2.0)
+
+    def test_depth_one_is_a_star(self):
+        # one level each side of the root: the up edges at 1/r, the down edges at 1
+        s = half_half_setting(3, 1, [2.0])
+        assert [s[edge_key("0", str(w))] for w in range(1, 5)] == [0.5, 0.5, 1.0, 1.0]
 
 
 class TestTwoProgression:
@@ -367,6 +383,19 @@ class TestTwoProgression:
             assert incident[1] / incident[0] == pytest.approx(1.0)
             assert incident[3] / incident[1] == pytest.approx(x)
 
+    @pytest.mark.parametrize("q", [1, 3, 5])
+    @pytest.mark.parametrize("r", [1.7, 2.0, 3.0])
+    def test_half_half_is_one_class_pair_with_ratio_r(self, q, r):
+        # with m = (q+1)/2, s = 0, alpha = y = 1 and x = r the u-class runs up
+        # and the x-class down: both families give each vertex's children the
+        # same classes in the same order, up to the common factor r^-depth
+        depth = 3
+        hh = half_half_setting(q, depth, r).lengths
+        tp = two_progression_setting(q, (q + 1) // 2, 0, 1.0, r, 1.0, depth).lengths
+        assert list(hh) == list(tp)
+        for key, ell in tp.items():
+            assert hh[key] == pytest.approx(ell * r**-depth, rel=1e-15, abs=0.0)
+
     def test_rejects_inconsistent_counts(self):
         with pytest.raises(BadParams, match=r"need 2\(m\+s\) = q\+1, got m=2 s=1 q=3"):
             two_progression_setting(3, 2, 1, 0.25, 0.5, 3.0, 3)
@@ -376,9 +405,23 @@ class TestTwoProgression:
         with pytest.raises(BadParams, match="alpha, x, y must all be positive"):
             two_progression_setting(3, 1, 1, alpha, 0.5, 3.0, 3)
 
+    @pytest.mark.parametrize("x, y", [(0.0, 3.0), (0.5, 0.0)])
+    def test_rejects_zero_x_or_y(self, x, y):
+        with pytest.raises(BadParams, match="alpha, x, y must all be positive"):
+            two_progression_setting(3, 1, 1, 0.25, x, y, 3)
+
     def test_rejects_depth_zero(self):
         with pytest.raises(BadParams):
             two_progression_setting(3, 1, 1, 0.25, self.x_ref(), 3.0, 0)
+
+    @pytest.mark.parametrize(
+        "m, s, want",
+        [(1, 1, [1.0, 0.5, 0.25, 0.75]), (0, 2, [0.25, 0.25, 0.75, 0.75]), (2, 0, [1.0, 1.0, 0.5, 0.5])],
+    )
+    def test_depth_one_is_a_star(self, m, s, want):
+        # the root keeps every class, in order: m of 1, m of x, s of alpha, s of alpha*y
+        lengths = two_progression_setting(3, m, s, 0.25, 0.5, 3.0, 1)
+        assert [lengths[edge_key("0", str(w))] for w in range(1, 5)] == want
 
     def test_covers_all_edges_positively(self):
         s = two_progression_setting(3, 1, 1, 0.25, self.x_ref(), 3.0, 3)

@@ -376,3 +376,44 @@ def test_one_power_of_two_rule():
     package = ROOT / "src" / "graphgrav"
     found = [f"{p.name}:{name}" for p in sorted(package.glob("*.py")) for name in power_of_two_readers(p.read_text())]
     assert found == ["dynamics.py:_unit_scaled"]
+
+
+FAMILY_FORMULAS = ("t1_next_ratios", "geometric_half_half_stats", "two_progression_x")
+
+
+def family_code_outside_generators(generators, dynamics):
+    """What places a tree solution family outside ``generators``: each name,
+    as ``generators:name``, that the ``generators`` source imports from
+    ``dynamics`` other than ``Setting`` (the module itself included), and
+    each family formula, as ``dynamics:name``, that the ``dynamics`` source
+    defines."""
+    imported = []
+    for node in ast.walk(ast.parse(generators)):
+        if isinstance(node, ast.ImportFrom):
+            from_dynamics = (node.module or "").split(".")[-1] == "dynamics"
+            imported += [a.name for a in node.names if from_dynamics or a.name == "dynamics"]
+        elif isinstance(node, ast.Import):
+            imported += [a.name for a in node.names if a.name.split(".")[-1] == "dynamics"]
+    defined = [name for name in top_level_definitions(dynamics) if name in FAMILY_FORMULAS]
+    return [f"generators:{name}" for name in imported if name != "Setting"] + [f"dynamics:{name}" for name in defined]
+
+
+def test_finds_family_code_outside_generators():
+    generators = (
+        "from .dynamics import Setting, verify_solution\nfrom . import dynamics, graph\n"
+        "import graphgrav.dynamics\nfrom .graph import edge_key\n"
+    )
+    dynamics = "def two_progression_x(a, y):\n    pass\n\ndef verify_solution(g):\n    pass\n"
+    assert family_code_outside_generators(generators, dynamics) == [
+        "generators:verify_solution", "generators:dynamics", "generators:graphgrav.dynamics",
+        "dynamics:two_progression_x",
+    ]
+
+
+def test_tree_families_live_in_generators():
+    """``generators`` is the one module that knows the paper's tree solution
+    families: their formulas are defined there, and it reads only the
+    ``Setting`` type of the equations of motion."""
+    package = ROOT / "src" / "graphgrav"
+    generators, dynamics = ((package / f"{name}.py").read_text() for name in ("generators", "dynamics"))
+    assert family_code_outside_generators(generators, dynamics) == []

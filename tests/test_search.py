@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -117,7 +118,8 @@ class TestTreeSystem:
 
 class TestTreeIndex:
     """Each tree's lengths-free index is built on its first call, read by
-    every later one, and dropped with the tree."""
+    every later one, and dropped with the tree; Newton's first system adds
+    the Jacobian pattern to it."""
 
     @staticmethod
     def _calls():
@@ -148,16 +150,40 @@ class TestTreeIndex:
             assert repr(call(shared)) == repr(call(gen_tree(2, 4)))
         assert [g is shared for g in built] == [True, False, False, False, False]
 
+    def test_jacobian_pattern_is_built_for_newton_only(self, monkeypatch):
+        # a spy index records each attribute written after its build
+        writes = []
+
+        class Spy(SimpleNamespace):
+            def __setattr__(self, name, value):
+                writes.append(name)
+                super().__setattr__(name, value)
+
+        build = dynamics._build_index
+        monkeypatch.setattr(dynamics, "_build_index", lambda g: Spy(**vars(build(g))))
+        newton, overdetermined, verify, nogo = self._calls()
+        g = gen_tree(2, 4)
+        verify(g)
+        nogo(g)
+        assert writes == [] and _tree_index(g).pattern.size == 0
+        newton(g)
+        pattern = _tree_index(g).pattern
+        assert writes == ["pattern"] and pattern.size
+        overdetermined(g)
+        newton(g)
+        assert writes == ["pattern"] and _tree_index(g).pattern is pattern
+
     def test_index_dies_with_its_tree(self):
         # an index that held its tree, or a cycle through it, would keep
         # every tree Newton ever saw until the cycle collector ran
         g = gen_tree(2, 3)
-        refs = weakref.ref(g), weakref.ref(_tree_index(g).ratios)
-        assert _tree_index(g) is _tree_index(g)
+        newton_solve_teom(g, leaf_boundary(g)[0])  # the pattern too
+        refs = weakref.ref(g), weakref.ref(_tree_index(g).ratios), weakref.ref(_tree_index(g).pattern)
+        assert _tree_index(g) is _tree_index(g) and _tree_index(g).pattern.size
         gc.disable()
         try:
             del g
-            assert [ref() for ref in refs] == [None, None]
+            assert [ref() for ref in refs] == [None, None, None]
         finally:
             gc.enable()
 
